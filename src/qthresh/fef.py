@@ -1,8 +1,15 @@
 """Certified bounds on the singlet fraction F(rho) = max <Psi|rho|Psi>
 over all maximally entangled |Psi>.
 
-Every maximally entangled state of an N x N system is (U (x) I)|Phi>
-for a unitary U, so the search space is exactly the unitary group.
+At N = 2 F is exact: in the Hill-Wootters magic basis M every maximally
+entangled state is a global phase times M x for a real unit vector x,
+so F = lambda_max(Re(M^dagger rho M)) (Grondalski, Etlinger & James,
+Phys. Lett. A 300, 573 (2002)) and the top eigenvector gives the
+optimizing state.  One 4 x 4 real eigenproblem replaces the search, and
+the bound pair closes.
+
+For N >= 3 the search runs over the unitary group.  Every maximally
+entangled state of an N x N system is (U (x) I)|Phi> for a unitary U.
 With u = vec(U) (row-major) the objective is the quadratic form
 
     f(U) = <Psi_U| rho |Psi_U> = u^dagger rho u / N,
@@ -57,6 +64,8 @@ class FefBounds:
 
     ``lower`` is the overlap achieved by the explicit state
     (best_unitary (x) I)|Phi>; it is recomputable from ``best_unitary``.
+    ``restarts_used`` and ``iterations_total`` are 0 where F is exact
+    (N = 2).
     """
 
     lower: float
@@ -223,10 +232,39 @@ def _spectral_start(entries: np.ndarray, n: int, seed: int) -> np.ndarray:
     return _polar(v.reshape(1, n, n))[0]
 
 
+# Columns: the magic basis (|00>+|11>, i(|00>-|11>), i(|01>+|10>),
+# |01>-|10>)/sqrt(2) of Hill & Wootters, PRL 78, 5022 (1997).
+_MAGIC = np.array(
+    [[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]]
+) / np.sqrt(2)
+
+
+def _two_qubit_exact(entries: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact F at N = 2 and a unitary attaining it.
+
+    <Mx|rho|Mx> = x^T Re(M^dagger rho M) x for real x, because the
+    imaginary part of a Hermitian matrix is antisymmetric; the maximum
+    over real unit x is the top eigenvalue, attained by the state M v
+    whose 2 x 2 coefficient matrix is U / sqrt(2).
+    """
+    a = (_MAGIC.conj().T @ entries @ _MAGIC).real
+    values, vectors = np.linalg.eigh(a)
+    unitary = np.sqrt(2.0) * (_MAGIC @ vectors[:, -1]).reshape(2, 2)
+    return float(values[-1]), unitary
+
+
 def _lower_search(rho: DensityMatrix, cfg: OptimizerConfig):
-    """Run the spectral warm start plus all seeded restarts; returns
-    (lower, best unitary, total iterations, last restart's final
-    objective change)."""
+    """Returns (lower, best unitary, restarts run, total iterations,
+    converged).
+
+    At N = 2 the value is exact: no restarts and no iterations.  For
+    N >= 3 the spectral warm start plus all seeded restarts ascend, and
+    ``converged`` says whether the winning restart's final objective
+    change fell below ``step_tol``.
+    """
+    if rho.n == 2:
+        lower, best_u = _two_qubit_exact(rho.entries)
+        return lower, best_u, 0, 0, True
     starts = np.stack(
         [_spectral_start(rho.entries, rho.n, cfg.seed)]
         + [
@@ -241,27 +279,28 @@ def _lower_search(rho: DensityMatrix, cfg: OptimizerConfig):
     return (
         float(f[best]),
         units[best],
+        cfg.restarts,
         int(iterations.sum()),
-        float(last_delta[-1]),
+        bool(last_delta[best] < cfg.step_tol),
     )
 
 
 def fef_lower_bound(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> FefBounds:
-    """Best objective over seeded restarts: a certified lower bound on F.
+    """A certified lower bound on F: exact at N = 2, the best objective
+    over seeded restarts for N >= 3.
 
     The ``upper`` field is filled with the trivial bound 1.0 here;
-    ``fef_certified`` replaces it with lambda_max(rho).
+    ``fef_certified`` replaces it with a certified upper bound.
     """
     cfg = cfg if cfg is not None else OptimizerConfig()
-    lower, best_u, iters, last_delta = _lower_search(rho, cfg)
-    converged = (1.0 - lower) <= GAP_TOL or last_delta < cfg.step_tol
+    lower, best_u, restarts, iters, converged = _lower_search(rho, cfg)
     return FefBounds(
         lower=lower,
         upper=1.0,
         best_unitary=best_u,
-        restarts_used=cfg.restarts,
+        restarts_used=restarts,
         iterations_total=iters,
-        converged=converged,
+        converged=(1.0 - lower) <= GAP_TOL or converged,
     )
 
 
@@ -271,27 +310,30 @@ def fef_upper_bound(rho: DensityMatrix) -> float:
 
 
 def fef_certified(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> FefBounds:
-    """Lower and upper bound together with the optimizing unitary."""
+    """Lower and upper bound together with the optimizing unitary.
+
+    At N = 2 the lower bound is exact, so it is also the upper bound;
+    for N >= 3 the upper bound is lambda_max(rho).
+    """
     cfg = cfg if cfg is not None else OptimizerConfig()
-    lower, best_u, iters, last_delta = _lower_search(rho, cfg)
-    upper = fef_upper_bound(rho)
-    converged = (upper - lower) <= GAP_TOL or last_delta < cfg.step_tol
+    lower, best_u, restarts, iters, converged = _lower_search(rho, cfg)
+    upper = lower if rho.n == 2 else fef_upper_bound(rho)
     return FefBounds(
         lower=lower,
         upper=upper,
         best_unitary=best_u,
-        restarts_used=cfg.restarts,
+        restarts_used=restarts,
         iterations_total=iters,
-        converged=converged,
+        converged=(upper - lower) <= GAP_TOL or converged,
     )
 
 
 def usable_for_teleportation(bounds: FefBounds, n: int) -> TeleportVerdict:
     """Sound verdict from the bound pair against the 1/N borderline.
 
-    The optimizer only ever certifies a lower bound, so a state is called
-    usable only when that bound clears 1/N, and useless only when even
-    lambda_max stays under it; everything else is Undecided.
+    A state is called usable only when the certified lower bound clears
+    1/N, and useless only when the certified upper bound stays under it;
+    everything else is Undecided (at N = 2, only F within 1e-9 of 1/2).
     """
     critical = 1.0 / n
     if bounds.lower > critical + 1e-9:

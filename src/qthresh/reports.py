@@ -163,6 +163,10 @@ class VerificationSummary:
         }
 
 
+def _replay(sampler: SamplerSpec, index: int, cfg: OptimizerConfig) -> str:
+    return f"replay: sample({sampler!r}, {index}) under {cfg!r}"
+
+
 def verify_theorem(
     n: int,
     samples: int,
@@ -175,7 +179,8 @@ def verify_theorem(
     F lower bound still clears 1/N + 1e-7; the contrapositive check flags
     any sample with F_lower above that margin and S above the threshold
     by more than 1e-9.  Either aborts with ``TheoremViolation`` carrying
-    the offending state, serialized for reproduction.
+    the offending state, serialized, and the ``sample(spec, index)`` call
+    and optimizer configuration that replay it.
     """
     if samples < 1:
         raise InvalidParameter(f"samples must be >= 1, got {samples}")
@@ -202,13 +207,15 @@ def verify_theorem(
         if s_above and f_above:
             raise TheoremViolation(
                 f"sample {index}: S = {s:.12f} > {threshold:.12f} with "
-                f"F_lower = {lower:.12f} >= 1/{n} + {FEF_MARGIN}; offending "
-                f"state: {json.dumps(state_to_dict(rho))}"
+                f"F_lower = {lower:.12f} >= 1/{n} + {FEF_MARGIN}; "
+                f"{_replay(sampler, index, cfg)}; "
+                f"offending state: {json.dumps(state_to_dict(rho))}"
             )
         if f_above and s > threshold + 1e-9:
             raise TheoremViolation(
                 f"sample {index}: contrapositive failure, F_lower = "
                 f"{lower:.12f} with S = {s:.12f} > {threshold:.12f} + 1e-9; "
+                f"{_replay(sampler, index, cfg)}; "
                 f"offending state: {json.dumps(state_to_dict(rho))}"
             )
     return VerificationSummary(

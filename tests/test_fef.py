@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qthresh as qt
+from qthresh import fef
 from qthresh.errors import InvalidParameter, NotProbabilityVector
 from qthresh.fef import _ascend, _spectral_start
 
@@ -189,6 +191,108 @@ class TestCertified:
         rho = qt.hs_random_density(9, 9, seed=5)
         u = qt.fef_certified(rho).best_unitary
         assert np.abs(u @ u.conj().T - np.eye(3)).max() < 1e-12
+
+
+    def test_converged_follows_winning_restart(self, monkeypatch):
+        # the winning restart (index 0) is still moving; the last one stopped
+        def fake_ascend(rho_entries, n, starts, max_iters, step_tol):
+            b = starts.shape[0]
+            f = np.linspace(0.01, 0.0, b)
+            last_delta = np.zeros(b)
+            last_delta[0] = 1e-3
+            return starts, f, np.ones(b, dtype=np.int64), last_delta, None
+
+        monkeypatch.setattr(fef, "_ascend", fake_ascend)
+        bounds = qt.fef_certified(qt.hs_random_density(9, 9, seed=4))
+        assert bounds.gap > fef.GAP_TOL
+        assert bounds.converged is False
+
+
+class TestTwoQubitExact:
+    """The N = 2 closed form against oracles that share none of its code."""
+
+    def test_matches_bruteforce_oracle(self):
+        for seed in (40, 41, 42, 43):
+            rho = qt.hs_random_density(4, 4, seed=seed)
+            assert qt.fef_certified(rho).lower == pytest.approx(
+                fef_bruteforce_n2(rho.entries), abs=1e-4
+            )
+
+    def test_dominates_and_matches_direct_ascent(self):
+        haar = [qt.haar_unitary(2, seed=r) for r in range(16)]
+        for seed in range(200):
+            rho = qt.hs_random_density(4, 4, seed=1000 + seed)
+            starts = np.stack([_spectral_start(rho.entries, 2, 0)] + haar)
+            _, f, _, _, _ = _ascend(rho.entries, 2, starts, 500, 1e-10)
+            ascent = float(f.max())
+            exact = qt.fef_lower_bound(rho).lower
+            assert exact >= ascent - 1e-12
+            assert exact - ascent <= 1e-6
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            qt.DensityMatrix(2, qt.canonical_phi(2).projector()),
+            qt.maximally_mixed(2),
+            qt.extremal_threshold_state(2),
+            qt.hs_random_density(4, 1, seed=3),
+            qt.hs_random_density(4, 4, seed=3),
+        ],
+        ids=["phi", "maximally_mixed", "extremal", "pure", "hs"],
+    )
+    def test_witness_unitary(self, rho):
+        bounds = qt.fef_certified(rho)
+        u = bounds.best_unitary
+        assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
+        assert abs(qt.fef_objective(rho, u) - bounds.lower) < 1e-12
+
+    def test_no_search_and_closed_gap(self):
+        rho = qt.hs_random_density(4, 4, seed=9)
+        certified = qt.fef_certified(rho)
+        assert certified.upper == certified.lower
+        assert certified.converged is True
+        assert certified.restarts_used == 0 and certified.iterations_total == 0
+        lower = qt.fef_lower_bound(rho)
+        assert lower.lower == certified.lower and lower.upper == 1.0
+        assert lower.restarts_used == 0 and lower.iterations_total == 0
+
+
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestTwoQubitProperties:
+    @settings(derandomize=True)
+    @given(seed=_SEEDS, rank=st.integers(min_value=1, max_value=4))
+    def test_below_top_eigenvalue(self, seed, rank):
+        rho = qt.hs_random_density(4, rank, seed=seed)
+        lower = qt.fef_lower_bound(rho).lower
+        assert lower <= np.linalg.eigvalsh(rho.entries)[-1] + 1e-12
+
+    @settings(derandomize=True)
+    @given(seed=_SEEDS, v_seed=_SEEDS, w_seed=_SEEDS)
+    def test_local_unitary_invariance(self, seed, v_seed, w_seed):
+        rho = qt.hs_random_density(4, 4, seed=seed)
+        vw = qt.tensor(qt.haar_unitary(2, seed=v_seed), qt.haar_unitary(2, seed=w_seed))
+        rotated = qt.validate_density(vw @ rho.entries @ vw.conj().T, 2)
+        assert abs(
+            qt.fef_lower_bound(rotated).lower - qt.fef_lower_bound(rho).lower
+        ) <= 1e-9
+
+    @settings(derandomize=True)
+    @given(
+        raw=st.lists(
+            st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4
+        ).filter(lambda w: sum(w) > 1e-3)
+    )
+    def test_bell_diagonal_is_max_weight(self, raw):
+        w = np.asarray(raw) / sum(raw)
+        lower = qt.fef_lower_bound(qt.bell_diagonal(2, w)).lower
+        assert abs(lower - float(w.max())) <= 1e-12
+
+    @settings(derandomize=True)
+    @given(seed=_SEEDS, rank=st.integers(min_value=1, max_value=4))
+    def test_certified_gap_is_zero(self, seed, rank):
+        assert qt.fef_certified(qt.hs_random_density(4, rank, seed=seed)).gap == 0
 
 
 class TestTeleportVerdict:

@@ -1,8 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 import qthresh as qt
-from qthresh.errors import DimensionMismatch, InvalidParameter
+from qthresh.errors import DimensionMismatch, InvalidParameter, TheoremViolation
 from qthresh.reports import CSV_HEADER
 
 
@@ -86,6 +89,27 @@ class TestVerifyTheorem:
     def test_rejects_zero_samples(self):
         with pytest.raises(InvalidParameter):
             qt.verify_theorem(2, 0)
+
+    def test_violation_message_replays_the_sample(self, monkeypatch):
+        def fake_lower_bound(rho, cfg):
+            return qt.FefBounds(0.99, 1.0, np.eye(rho.n), 0, 0, True)
+
+        monkeypatch.setattr("qthresh.reports.fef_lower_bound", fake_lower_bound)
+        spec = qt.SamplerSpec(
+            kind="high_entropy", dim=4, mix_toward_identity=0.9, seed=7
+        )
+        cfg = qt.OptimizerConfig(restarts=3, seed=42)
+        with pytest.raises(TheoremViolation) as info:
+            qt.verify_theorem(2, 50, spec, cfg)
+        message = str(info.value)
+        index = int(re.match(r"sample (\d+):", message).group(1))
+        assert (
+            "replay: sample(SamplerSpec(kind='high_entropy', dim=4, rank=None, "
+            f"mix_toward_identity=0.9, seed=7), {index}) under OptimizerConfig("
+            "restarts=3, max_iters=500, step_tol=1e-10, seed=42)"
+        ) in message
+        state = json.loads(message.split("offending state: ", 1)[1])
+        assert state == qt.state_to_dict(qt.sample(spec, index))
 
 
 class TestWernerSweep:
