@@ -29,7 +29,7 @@ from .fef import (
     usable_for_teleportation,
 )
 from .protocols import densecoding_chi_standard
-from .sampling import SamplerSpec, sample
+from .sampling import DENSITY_KINDS, SamplerSpec, sample
 from .states import DensityMatrix, load_state, state_to_dict
 
 FEF_MARGIN = 1e-7  # guard above 1/N against float noise faking a violation
@@ -173,14 +173,15 @@ def verify_theorem(
     sampler: SamplerSpec | None = None,
     cfg: OptimizerConfig | None = None,
 ) -> VerificationSummary:
-    """Sample states and check both directions of the entropy threshold.
+    """Sample density matrices and check the entropy threshold theorem.
 
     A violation is a sample with S above the threshold whose certified
-    F lower bound still clears 1/N + 1e-7; the contrapositive check flags
-    any sample with F_lower above that margin and S above the threshold
-    by more than 1e-9.  Either aborts with ``TheoremViolation`` carrying
-    the offending state, serialized, and the ``sample(spec, index)`` call
-    and optimizer configuration that replay it.
+    F lower bound still clears 1/N + 1e-7.  It aborts with
+    ``TheoremViolation`` carrying the offending state, serialized, and
+    the ``sample(spec, index)`` call and optimizer configuration that
+    replay it.  ``contrapositive_violations`` is always 0: F above the
+    margin with S above the threshold is that same violation.  The
+    sampler must produce density matrices (``DENSITY_KINDS``).
     """
     if samples < 1:
         raise InvalidParameter(f"samples must be >= 1, got {samples}")
@@ -189,6 +190,11 @@ def verify_theorem(
         if sampler is not None
         else SamplerSpec(kind="hilbert_schmidt", dim=n * n, seed=0)
     )
+    if sampler.kind not in DENSITY_KINDS:
+        raise InvalidParameter(
+            f"sampler kind {sampler.kind!r} does not produce density matrices; "
+            f"use one of {DENSITY_KINDS}"
+        )
     if math.isqrt(sampler.dim) ** 2 != sampler.dim or math.isqrt(sampler.dim) != n:
         raise DimensionMismatch(
             f"sampler dim {sampler.dim} does not match bipartite N={n}"
@@ -208,13 +214,6 @@ def verify_theorem(
             raise TheoremViolation(
                 f"sample {index}: S = {s:.12f} > {threshold:.12f} with "
                 f"F_lower = {lower:.12f} >= 1/{n} + {FEF_MARGIN}; "
-                f"{_replay(sampler, index, cfg)}; "
-                f"offending state: {json.dumps(state_to_dict(rho))}"
-            )
-        if f_above and s > threshold + 1e-9:
-            raise TheoremViolation(
-                f"sample {index}: contrapositive failure, F_lower = "
-                f"{lower:.12f} with S = {s:.12f} > {threshold:.12f} + 1e-9; "
                 f"{_replay(sampler, index, cfg)}; "
                 f"offending state: {json.dumps(state_to_dict(rho))}"
             )

@@ -3,9 +3,16 @@
 The singlet-fraction oracle searches SU(2) directly on three angles with
 a shrinking grid; it shares no code path with the package's unitary
 ascent, so agreement between the two is meaningful evidence.
+
+The teleportation transfer matrix is built column by column from the
+literal measure-and-correct simulator, one N^2-outcome protocol run per
+matrix unit; it shares no code with the Weyl-channel closed form that
+the Monte Carlo fidelity uses.
 """
 
 import numpy as np
+
+from qthresh.protocols import _channel_apply_matrix
 
 
 def su2_overlap_objective(entries, u00, u01, u10, u11):
@@ -51,3 +58,16 @@ def fef_bruteforce_n2(entries, points=30, rounds=10):
         a_lo, a_hi = a_c - (a_hi - a_lo) / 6, a_c + (a_hi - a_lo) / 6
         b_lo, b_hi = b_c - (b_hi - b_lo) / 6, b_c + (b_hi - b_lo) / 6
     return best
+
+
+def _channel_transfer_matrix(resource):
+    """N^2 x N^2 matrix of the standard teleportation channel acting on
+    row-major vectorized inputs."""
+    n = resource.n
+    cols = []
+    for i in range(n):
+        for j in range(n):
+            e = np.zeros((n, n), dtype=np.complex128)
+            e[i, j] = 1.0
+            cols.append(_channel_apply_matrix(resource, e).reshape(-1))
+    return np.stack(cols, axis=1)

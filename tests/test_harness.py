@@ -90,6 +90,11 @@ class TestVerifyTheorem:
         with pytest.raises(InvalidParameter):
             qt.verify_theorem(2, 0)
 
+    @pytest.mark.parametrize("kind", ["haar_pure", "haar_unitary"])
+    def test_rejects_non_density_samplers(self, kind):
+        with pytest.raises(InvalidParameter, match="density matrices"):
+            qt.verify_theorem(2, 10, qt.SamplerSpec(kind=kind, dim=4, seed=0))
+
     def test_violation_message_replays_the_sample(self, monkeypatch):
         def fake_lower_bound(rho, cfg):
             return qt.FefBounds(0.99, 1.0, np.eye(rho.n), 0, 0, True)

@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import qthresh as qt
 from qthresh.errors import DimensionMismatch, InvalidParameter
-from qthresh.protocols import _channel_transfer_matrix
+from oracles import _channel_transfer_matrix
+from qthresh.protocols import _MC_CHUNK_ENTRIES, _weyl_fidelities
 
 
 def phi_projector_state(n):
@@ -118,6 +122,68 @@ class TestMonteCarloFidelity:
     def test_rejects_tiny_sample_counts(self):
         with pytest.raises(InvalidParameter):
             qt.teleportation_avg_fidelity_mc(qt.maximally_mixed(2), 50)
+
+
+def weyl_test_resources(n):
+    rng = np.random.default_rng(100 + n)
+    return {
+        "hs": qt.hs_random_density(n * n, n * n, seed=n),
+        "werner": qt.werner(qt.WernerParams(n, 0.4)),
+        "bell_diagonal": qt.bell_diagonal(n, rng.dirichlet(np.ones(n * n))),
+        "extremal": qt.extremal_threshold_state(n),
+    }
+
+
+def haar_inputs(rng, count, n):
+    z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+class TestWeylChannelFidelity:
+    """The Monte Carlo fast path against the literal channel simulator and
+    the oracle transfer matrix, which share none of its code."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["hs", "werner", "bell_diagonal", "extremal"])
+    def test_per_input_fidelity_matches_channel(self, n, kind):
+        rho = weyl_test_resources(n)[kind]
+        weights = qt.bell_diagonal_coeffs(rho, qt.bell_basis(n))
+        psi = haar_inputs(np.random.default_rng(7 * n), 20, n)
+        fast = _weyl_fidelities(weights, psi)
+        for row, f in zip(psi, fast):
+            out = qt.teleportation_channel_apply(rho, qt.PureState(n, row))
+            assert abs(f - float((row.conj() @ out @ row).real)) < 1e-12
+
+    @pytest.mark.parametrize("n, n_samples", [(2, 40_000), (3, 21_966), (4, 10_000)])
+    def test_chunked_estimator_matches_transfer_matrix(self, n, n_samples):
+        rho = qt.hs_random_density(n * n, n * n, seed=30 + n)
+        transfer = _channel_transfer_matrix(rho)
+        chunk = _MC_CHUNK_ENTRIES // (n * n)
+        assert n_samples > 2 * chunk and n_samples % chunk
+        rng = np.random.default_rng(11)
+        fid = []
+        for start in range(0, n_samples, chunk):
+            psi = haar_inputs(rng, min(chunk, n_samples - start), n)
+            vec = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(len(psi), -1)
+            fid.append((vec.conj() * (vec @ transfer.T)).sum(axis=1).real)
+        fid = np.concatenate(fid)
+        result = qt.teleportation_avg_fidelity_mc(rho, n_samples, seed=11)
+        assert result.n_samples == n_samples
+        assert abs(result.f_avg_mc - fid.mean()) < 1e-12
+        assert abs(
+            result.mc_std_error - fid.std(ddof=1) / math.sqrt(n_samples)
+        ) < 1e-12
+
+    @pytest.mark.parametrize("n_samples", [100_000, 400_000])
+    def test_memory_does_not_grow_with_samples(self, n_samples):
+        rho = qt.hs_random_density(64, 64, seed=5)
+        tracemalloc.start()
+        try:
+            qt.teleportation_avg_fidelity_mc(rho, n_samples, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestRotationRecipe:
