@@ -132,4 +132,4 @@ from .states import (
     weyl_operator,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"

@@ -123,7 +123,7 @@ def _polar(batch: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
-def _ascend(rho_entries, n, starts, max_iters, step_tol, record_history=False):
+def _ascend(rho_entries, n, starts, max_iters, step_tol):
     """Batched monotone gradient ascent over the unitary group.
 
     Per iteration the Euclidean gradient (rho u)/N is followed and the
@@ -138,7 +138,7 @@ def _ascend(rho_entries, n, starts, max_iters, step_tol, record_history=False):
     accepted improvement falls below ``step_tol`` or no halving produces
     an improvement.
 
-    Returns (unitaries, objectives, iterations, last_deltas, histories).
+    Returns (unitaries, objectives, iterations, last_deltas).
     """
     b = starts.shape[0]
     units = np.array(starts, dtype=np.complex128)
@@ -150,7 +150,6 @@ def _ascend(rho_entries, n, starts, max_iters, step_tol, record_history=False):
     iterations = np.zeros(b, dtype=np.int64)
     last_delta = np.full(b, np.inf)
     steps = np.full(b, INITIAL_STEP)
-    histories = [[float(v)] for v in f] if record_history else None
 
     for _ in range(max_iters):
         if not active.any():
@@ -192,13 +191,10 @@ def _ascend(rho_entries, n, starts, max_iters, step_tol, record_history=False):
         delta = np.where(improved, cand_f - cur_f, 0.0)
         iterations[idx] += 1
         last_delta[idx] = delta
-        if record_history:
-            for restart in idx:
-                histories[restart].append(float(f[restart]))
         finished = ~improved | (delta < step_tol)
         active[idx[finished]] = False
 
-    return units, f, iterations, last_delta, histories
+    return units, f, iterations, last_delta
 
 
 _SPECTRAL_SALT = 0x5FEC7A1
@@ -272,7 +268,7 @@ def _lower_search(rho: DensityMatrix, cfg: OptimizerConfig):
             for r in range(cfg.restarts)
         ]
     )
-    units, f, iterations, last_delta, _ = _ascend(
+    units, f, iterations, last_delta = _ascend(
         rho.entries, rho.n, starts, cfg.max_iters, cfg.step_tol
     )
     best = int(np.argmax(f))

@@ -5,8 +5,13 @@ quantity.
 The standard channel is the Weyl channel weighted by the resource's
 Bell-basis weights (Horodecki^3, PRA 60, 1888 (1999); Bowen & Bose,
 PRL 87, 267901 (2001)).  The Monte Carlo average fidelity uses that
-form: O(N^2 log N) per Haar input, in memory bounded independently of
-the sample count.  ``teleportation_channel_apply`` keeps the literal
+form: O(N^2 log N) per Haar input, one DFT per shift a = 0 .. N//2
+only, because the overlaps of shift -a are those of shift a with the
+phase index negated and conjugated, O(-a,b) = omega^{ab} conj(O(a,-b)),
+so the weights of the two shifts fold together once per call.  Each call
+allocates one workspace sized for a chunk of inputs and every chunk runs
+in it, so memory is bounded independently of the sample count and no
+chunk allocates.  ``teleportation_channel_apply`` keeps the literal
 measure-and-correct simulation.
 
 Alice is the first tensor factor everywhere: she measures (input (x) her
@@ -28,6 +33,7 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .errors import DimensionMismatch, InvalidParameter
+from .sampling import check_seed
 from .states import (
     DensityMatrix,
     PureState,
@@ -39,8 +45,9 @@ from .states import (
     weyl_operator,
 )
 
-# Complex entries per Monte Carlo temporary (1 MiB): a chunk holds
-# _MC_CHUNK_ENTRIES // N^2 inputs, each with an N x N table of Weyl overlaps.
+# A Monte Carlo chunk holds _MC_CHUNK_ENTRIES // N^2 inputs: their full
+# N x N tables of Weyl overlaps would be this many complex entries (1 MiB),
+# and the folded tables in the workspace keep N//2 + 1 of the N rows.
 _MC_CHUNK_ENTRIES = 2**16
 
 
@@ -150,20 +157,51 @@ def teleportation_avg_fidelity_exact(rho_resource: DensityMatrix) -> TeleportRes
     return TeleportResult(f_phi=f_phi, f_avg_exact=(n * f_phi + 1.0) / (n + 1.0))
 
 
-def _weyl_fidelities(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """<psi|channel(|psi><psi|)|psi> for each row of ``psi``.
+def _fold_weights(weights: np.ndarray, n: int) -> np.ndarray:
+    """Bell-basis weights folded onto the shifts a = 0 .. N//2.
+
+    The overlap O(a,b) = sum_j conj(psi_j) psi_{j+a} omega^{bj} obeys
+    O(-a,b) = omega^{ab} conj(O(a,-b)) (substitute j -> j + a), so
+    |O(-a,b)|^2 = |O(a,-b)|^2 and row -a adds its weights to row a as
+    w[a,b] = c[a,b] + c[-a,-b] for 0 < a < N/2; rows 0 and N/2 pair with
+    themselves and keep c[a,b].  Each weight is repeated twice to meet
+    the squared real and imaginary parts of its overlap.
+    """
+    c = np.asarray(weights, dtype=np.float64).reshape(n, n)
+    neg = -np.arange(n) % n
+    folded = c[: n // 2 + 1].copy()
+    paired = np.arange(1, (n + 1) // 2)
+    folded[paired] += c[neg][:, neg][paired]
+    return np.repeat(folded.reshape(-1), 2)
+
+
+def _weyl_fidelities(
+    folded: np.ndarray, psi: np.ndarray, transform: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """<psi|channel(|psi><psi|)|psi> for each of the M rows of ``psi``,
+    written to ``out`` (length M) and returned.
 
     The standard channel is sigma -> sum_k c_k W_k^T sigma conj(W_k), so
-    the fidelity of a pure input is sum_{a,b} c_{aN+b} |<psi|W(a,b)^T|psi>|^2
-    with <psi|W(a,b)^T|psi> = sum_j conj(psi_j) psi_{j+a mod N} omega^{bj}:
-    one unnormalized length-N inverse DFT over j for each shift a.
+    the fidelity of a pure input is sum_{a,b} c_{aN+b} |O(a,b)|^2 with
+    O(a,b) = <psi|W(a,b)^T|psi> = sum_j conj(psi_j) psi_{j+a mod N} omega^{bj}.
+    ``folded`` comes from ``_fold_weights``, so only the shifts
+    a = 0 .. N//2 are computed, in ``transform``, an (M, N//2 + 1, N)
+    complex workspace that is overwritten: the conjugated products
+    psi_j conj(psi_{j+a}) go through one unnormalized forward DFT over j,
+    which gives conj(O(a,b)) and so the same squared magnitude.  Nothing
+    is allocated beyond the index table.
     """
     n = psi.shape[1]
-    shifts = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    products = psi.conj()[:, None, :] * psi[:, shifts]
-    overlaps = np.fft.ifft(products, axis=2, norm="forward")
-    power = overlaps.real**2 + overlaps.imag**2
-    return power.reshape(len(psi), n * n) @ weights
+    shifts = np.arange(transform.shape[1])[:, None] + np.arange(n)[None, :]
+    # mode="wrap" reduces j + a mod N and, unlike the default mode, fills
+    # ``transform`` without an intermediate buffer of its size
+    np.take(psi, shifts, axis=1, out=transform, mode="wrap")
+    np.conjugate(transform, out=transform)
+    np.multiply(transform, psi[:, None, :], out=transform)
+    np.fft.fft(transform, axis=2, out=transform)
+    power = transform.view(np.float64).reshape(len(psi), -1)
+    np.square(power, out=power)
+    return np.matmul(power, folded, out=out)
 
 
 def teleportation_avg_fidelity_mc(
@@ -174,29 +212,52 @@ def teleportation_avg_fidelity_mc(
 
     The channel enters only through the resource's weights in the Bell
     basis (it is the Weyl channel they define), so each input costs
-    O(N^2 log N) and no N^2 x N^2 transfer matrix is built.  Inputs are
-    drawn from one seeded generator in chunks of
-    max(1, ``_MC_CHUNK_ENTRIES`` // N^2), and the count, mean and sum of
-    squared deviations of each chunk are merged into the running ones
-    (Chan, Golub & LeVeque), so memory does not grow with ``n_samples``.
+    O(N^2 log N) and no N^2 x N^2 transfer matrix is built; the weights
+    are folded once per call onto the shifts a = 0 .. N//2
+    (``_fold_weights``), which halves the DFT work.  Inputs are drawn
+    from one seeded generator in chunks of
+    max(1, ``_MC_CHUNK_ENTRIES`` // N^2), real parts before imaginary
+    parts, into one workspace allocated per call, in which every chunk
+    runs without allocating.  The count, mean and sum of squared
+    deviations of each chunk are merged into the running ones (Chan,
+    Golub & LeVeque), so memory does not grow with ``n_samples``.  A
+    negative integer seed raises ``InvalidParameter``.
     """
     if n_samples < 100:
         raise InvalidParameter(f"n_samples must be >= 100, got {n_samples}")
+    check_seed(seed)
     n = rho_resource.n
-    weights = bell_diagonal_coeffs(rho_resource, bell_basis(n))
+    folded = _fold_weights(bell_diagonal_coeffs(rho_resource, bell_basis(n)), n)
     rng = np.random.default_rng(seed)
     chunk = max(1, _MC_CHUNK_ENTRIES // (n * n))
+    normals = np.empty((2, chunk, n))
+    inputs = np.empty((chunk, n), dtype=np.complex128)
+    transform = np.empty((chunk, n // 2 + 1, n), dtype=np.complex128)
     count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, n_samples, chunk):
         m = min(chunk, n_samples - start)
-        z = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        fid = _weyl_fidelities(weights, z)
+        re, im, psi = normals[0, :m], normals[1, :m], inputs[:m]
+        rng.standard_normal(out=re)
+        rng.standard_normal(out=im)
+        psi.real = re
+        psi.imag = im
+        # 1 / |z| per row, computed in the normals block once it is copied
+        np.square(normals[:, :m], out=normals[:, :m])
+        np.add(re, im, out=re)
+        scale = np.add.reduce(re, axis=1, out=im[:, 0])
+        np.sqrt(scale, out=scale)
+        np.divide(1.0, scale, out=scale)
+        parts = psi.view(np.float64)
+        np.multiply(parts, scale[:, None], out=parts)
+        fid = _weyl_fidelities(
+            folded, psi, transform[:m], normals.reshape(-1)[:m]
+        )
         chunk_mean = float(fid.mean())
         delta = chunk_mean - mean
         total = count + m
         mean += delta * m / total
-        m2 += float(((fid - chunk_mean) ** 2).sum())
+        fid -= chunk_mean
+        m2 += float(np.square(fid, out=fid).sum())
         m2 += delta * delta * count * m / total
         count = total
     exact = teleportation_avg_fidelity_exact(rho_resource)

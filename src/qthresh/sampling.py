@@ -49,6 +49,15 @@ class SamplerSpec:
             raise InvalidParameter(
                 f"mix_toward_identity must lie in [0, 1], got {self.mix_toward_identity}"
             )
+        check_seed(self.seed)
+
+
+def check_seed(seed) -> None:
+    """Reject a negative integer seed, which ``numpy.random.default_rng``
+    would refuse with a bare ``ValueError``; SeedSequence and Generator
+    seeds pass through."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
 
 
 def _rng(seed):

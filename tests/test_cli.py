@@ -37,6 +37,15 @@ class TestExitCodes:
         assert main(["thresholds", "--n", "2"]) == 0
         capsys.readouterr()
 
+    def test_negative_teleport_seed_is_input_error(self, werner_file, capsys):
+        argv = ["teleport", werner_file, "--mc-samples", "1000", "--seed", "-1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+
+    def test_negative_verify_seed_is_input_error(self, capsys):
+        assert main(["verify", "--n", "3", "--samples", "2", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+
     def test_theorem_violation_maps_to_3(self, monkeypatch, werner_file):
         def boom(path, cfg):
             raise TheoremViolation("synthetic")

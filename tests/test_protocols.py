@@ -7,7 +7,7 @@ import pytest
 import qthresh as qt
 from qthresh.errors import DimensionMismatch, InvalidParameter
 from oracles import _channel_transfer_matrix
-from qthresh.protocols import _MC_CHUNK_ENTRIES, _weyl_fidelities
+from qthresh.protocols import _MC_CHUNK_ENTRIES, _fold_weights, _weyl_fidelities
 
 
 def phi_projector_state(n):
@@ -143,13 +143,18 @@ class TestWeylChannelFidelity:
     """The Monte Carlo fast path against the literal channel simulator and
     the oracle transfer matrix, which share none of its code."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("kind", ["hs", "werner", "bell_diagonal", "extremal"])
     def test_per_input_fidelity_matches_channel(self, n, kind):
         rho = weyl_test_resources(n)[kind]
         weights = qt.bell_diagonal_coeffs(rho, qt.bell_basis(n))
         psi = haar_inputs(np.random.default_rng(7 * n), 20, n)
-        fast = _weyl_fidelities(weights, psi)
+        fast = _weyl_fidelities(
+            _fold_weights(weights, n),
+            psi,
+            np.empty((20, n // 2 + 1, n), dtype=complex),
+            np.empty(20),
+        )
         for row, f in zip(psi, fast):
             out = qt.teleportation_channel_apply(rho, qt.PureState(n, row))
             assert abs(f - float((row.conj() @ out @ row).real)) < 1e-12
@@ -184,6 +189,28 @@ class TestWeylChannelFidelity:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_memory_stays_within_one_workspace(self, n):
+        rho = qt.hs_random_density(n * n, n * n, seed=5)
+        tracemalloc.start()
+        try:
+            qt.teleportation_avg_fidelity_mc(rho, 100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_page_faults_do_not_grow_with_samples(self):
+        resource = pytest.importorskip("resource")
+        rho = qt.hs_random_density(64, 64, seed=5)
+
+        def faults(n_samples):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            qt.teleportation_avg_fidelity_mc(rho, n_samples, seed=0)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        assert abs(faults(400_000) - faults(100_000)) <= 5_000
 
 
 class TestRotationRecipe:
