@@ -8,12 +8,12 @@ coding stop working?  It provides:
   bases (``states``),
 - entropy functionals and the closed-form usefulness thresholds
   (``entropy``),
-- certified lower/upper bounds on the singlet fraction via gradient
-  ascent over the unitary group (``fef``),
+- certified lower/upper bounds on the singlet fraction: exact at N = 2,
+  a power-method search over the unitary group above (``fef``),
 - Werner mixtures, basis-diagonal states and the extremal
   threshold-saturating state (``families``),
-- teleportation and dense-coding simulators that give the thresholds
-  their operational meaning (``protocols``),
+- the teleportation fidelity and dense-coding Holevo quantity that give
+  the thresholds their operational meaning (``protocols``),
 - seeded random state generation (``sampling``) and an experiment
   harness with a CLI (``reports``, ``cli``).
 
@@ -27,14 +27,11 @@ Example:
 """
 
 from .entropy import (
-    DistillableEntanglement,
     SpectralDecomposition,
     densecoding_threshold,
-    distillable_entanglement_rank2_belldiag,
     hermitian_entropy_bits,
     linear_entropy,
     shannon_bits,
-    shannon_entropy_in_basis,
     spectral_decomposition,
     teleport_threshold_linear,
     teleport_threshold_vn,
@@ -52,7 +49,6 @@ from .errors import (
     NotProbabilityVector,
     NumericalInstability,
     ParseError,
-    PreconditionFailed,
     TheoremViolation,
     ToolkitError,
     TraceNotOne,
@@ -76,24 +72,17 @@ from .fef import (
     TeleportVerdict,
     fef_bell_diagonal_exact,
     fef_certified,
-    fef_lower_bound,
-    fef_objective,
     fef_upper_bound,
     usable_for_teleportation,
 )
 from .protocols import (
-    DenseCodingEnsemble,
     DenseCodingVerdict,
     TeleportResult,
     classical_fidelity,
     densecoding_chi_standard,
-    densecoding_ensemble,
-    densecoding_holevo,
     densecoding_useful,
-    rotate_first_factor,
     teleportation_avg_fidelity_exact,
     teleportation_avg_fidelity_mc,
-    teleportation_channel_apply,
 )
 from .reports import (
     EntropyVerdict,
@@ -132,4 +121,4 @@ from .states import (
     weyl_operator,
 )
 
-__version__ = "0.2.1"
+__version__ = "0.3.0"

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 input/validation error,
-3 theorem violation.  ``--json`` on any subcommand emits the full report
-as JSON (12 significant digits, sorted keys, byte-identical for
-identical seeds).
+3 theorem violation.  Each subcommand builds one payload dict.
+``--json`` emits it as JSON (12 significant digits, sorted keys,
+byte-identical for identical seeds); without it the payload prints as a
+table.
 """
 
 from __future__ import annotations
@@ -67,11 +68,25 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(_json_ready(payload), sort_keys=True))
 
 
-def _print_table(pairs) -> None:
-    width = max(len(k) for k, _ in pairs)
-    for key, value in pairs:
-        if isinstance(value, float):
-            value = f"{value:.6f}"
+def _table_rows(payload: dict, prefix: str = ""):
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from _table_rows(value, f"{prefix}{key}.")
+        elif value is not None and not isinstance(value, (list, np.ndarray)):
+            yield f"{prefix}{key}", value
+
+
+def _print_table(payload: dict) -> None:
+    """Plain-text form of a payload: one row per scalar, nested dicts
+    under dotted keys, None and array values left out."""
+    rows = list(_table_rows(payload))
+    width = max(len(k) for k, _ in rows)
+    for key, value in rows:
+        if isinstance(value, Enum):
+            value = value.value
+        elif isinstance(value, float):
+            # six decimals would print a small margin or gap as zero
+            value = f"{value:.6f}" if value == 0 or abs(value) >= 1e-3 else f"{value:.3e}"
         print(f"{key:<{width}}  {value}")
 
 
@@ -79,29 +94,20 @@ def _optimizer_config(args) -> OptimizerConfig:
     return OptimizerConfig(restarts=args.restarts, seed=args.seed)
 
 
-def cmd_thresholds(args) -> int:
-    values = {
+def cmd_thresholds(args) -> dict:
+    return {
+        "n": args.n,
         "teleport_threshold_vn_bits": teleport_threshold_vn(args.n),
         "teleport_threshold_linear": teleport_threshold_linear(args.n),
         "densecoding_threshold_bits": densecoding_threshold(args.n),
     }
-    if args.json:
-        _emit_json({"n": args.n, **values})
-    else:
-        _print_table(list(values.items()))
-    return 0
 
 
-def cmd_analyze(args) -> int:
-    report = analyze_state(args.file, _optimizer_config(args))
-    if args.json:
-        _emit_json(report.to_dict())
-    else:
-        _print_table(list(report.to_dict().items()))
-    return 0
+def cmd_analyze(args) -> dict:
+    return analyze_state(args.file, _optimizer_config(args)).to_dict()
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     kind = _SAMPLER_NAMES[args.sampler]
     spec = SamplerSpec(
         kind=kind,
@@ -109,59 +115,21 @@ def cmd_verify(args) -> int:
         mix_toward_identity=args.mix if kind == "high_entropy" else None,
         seed=args.seed,
     )
-    summary = verify_theorem(
-        args.n, args.samples, spec, _optimizer_config(args)
-    )
-    if args.json:
-        _emit_json(summary.to_dict())
-    else:
-        _print_table(
-            [
-                ("n", summary.n),
-                ("samples", summary.samples),
-                ("sampler", summary.sampler_kind),
-                ("threshold_bits", summary.threshold_bits),
-                ("S_above_threshold", summary.count_s_above),
-                ("violations", summary.violations),
-                ("contrapositive_violations", summary.contrapositive_violations),
-            ]
-        )
-    return 0
+    return verify_theorem(args.n, args.samples, spec, _optimizer_config(args)).to_dict()
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> dict:
     rows = sweep_werner(args.n, args.points)
-    csv_text = sweep_csv(rows)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
-    if args.json:
-        _emit_json(
-            {
-                "n": args.n,
-                "rows": [
-                    {
-                        "epsilon": r.epsilon,
-                        "S_bits": r.s_bits,
-                        "S_linear": r.s_linear,
-                        "F": r.f_closed,
-                        "chi_bits": r.chi_bits,
-                        "f_avg": r.f_avg,
-                        "above_T_vn": r.above_t_vn,
-                        "above_T_dc": r.above_t_dc,
-                    }
-                    for r in rows
-                ],
-            }
-        )
-    else:
-        print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+        fh.write(sweep_csv(rows))
+    print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    return {"n": args.n, "rows": [r.to_dict() for r in rows]}
 
 
-def cmd_fef(args) -> int:
+def cmd_fef(args) -> dict:
     rho = load_state(args.file)
     bounds = fef_certified(rho, _optimizer_config(args))
-    payload = {
+    return {
         "n": rho.n,
         "lower": bounds.lower,
         "upper": bounds.upper,
@@ -171,29 +139,15 @@ def cmd_fef(args) -> int:
         "iterations_total": bounds.iterations_total,
         "best_unitary": bounds.best_unitary,
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        _print_table(
-            [
-                ("lower", bounds.lower),
-                ("upper", bounds.upper),
-                ("gap", bounds.gap),
-                ("converged", bounds.converged),
-                ("restarts_used", bounds.restarts_used),
-                ("iterations_total", bounds.iterations_total),
-            ]
-        )
-    return 0
 
 
-def cmd_teleport(args) -> int:
+def cmd_teleport(args) -> dict:
     rho = load_state(args.file)
     if args.mc_samples:
         result = teleportation_avg_fidelity_mc(rho, args.mc_samples, seed=args.seed)
     else:
         result = teleportation_avg_fidelity_exact(rho)
-    payload = {
+    return {
         "n": rho.n,
         "f_phi": result.f_phi,
         "f_avg_exact": result.f_avg_exact,
@@ -202,45 +156,16 @@ def cmd_teleport(args) -> int:
         "mc_std_error": result.mc_std_error,
         "n_samples": result.n_samples,
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        pairs = [
-            ("f_phi", result.f_phi),
-            ("f_avg_exact", result.f_avg_exact),
-            ("classical_fidelity", classical_fidelity(rho.n)),
-        ]
-        if result.f_avg_mc is not None:
-            pairs += [
-                ("f_avg_mc", result.f_avg_mc),
-                ("mc_std_error", result.mc_std_error),
-                ("n_samples", result.n_samples),
-            ]
-        _print_table(pairs)
-    return 0
 
 
-def cmd_densecode(args) -> int:
+def cmd_densecode(args) -> dict:
     rho = load_state(args.file)
-    chi = densecoding_chi_standard(rho)
-    verdict = densecoding_useful(rho)
-    payload = {
+    return {
         "n": rho.n,
-        "holevo_chi_bits": chi,
+        "holevo_chi_bits": densecoding_chi_standard(rho),
         "threshold_bits": densecoding_threshold(rho.n),
-        "verdict": verdict,
+        "verdict": densecoding_useful(rho),
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        _print_table(
-            [
-                ("holevo_chi_bits", chi),
-                ("threshold_bits", densecoding_threshold(rho.n)),
-                ("verdict", verdict.value),
-            ]
-        )
-    return 0
 
 
 def _add_optimizer_args(sub) -> None:
@@ -310,16 +235,18 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 for --help
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        payload = args.func(args)
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 3
     except (ValidationError, NumericalInstability) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-cli_main = main
+    if args.json:
+        _emit_json(payload)
+    else:
+        _print_table(payload)
+    return 0
 
 
 if __name__ == "__main__":

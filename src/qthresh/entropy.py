@@ -9,17 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InvalidDimension,
-    NotPSD,
-    NumericalInstability,
-    PreconditionFailed,
-)
-from .states import DensityMatrix, MaxEntangledBasis, bell_diagonal_coeffs
+from .errors import NotPSD, NumericalInstability
+from .states import DensityMatrix, _require_local_dim
 
 PSD_CLAMP = 1e-9
 RECONSTRUCTION_TOL = 1e-8
@@ -89,13 +83,6 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return shannon_bits(_clamped_spectrum(rho.entries))
 
 
-def shannon_entropy_in_basis(rho: DensityMatrix, basis: MaxEntangledBasis) -> float:
-    """Shannon entropy of the diagonal weights of rho in a maximally
-    entangled basis; never below the von Neumann entropy."""
-    c = bell_diagonal_coeffs(rho, basis)
-    return shannon_bits(np.where(c < 0.0, 0.0, c))
-
-
 def linear_entropy(rho: DensityMatrix) -> float:
     """1 - Tr(rho^2), in [0, 1 - 1/N^2]."""
     purity = float(np.vdot(rho.entries, rho.entries).real)
@@ -105,14 +92,14 @@ def linear_entropy(rho: DensityMatrix) -> float:
 def teleport_threshold_vn(n: int) -> float:
     """Entropy above which an N x N state is useless for teleportation:
     log2 N + (1 - 1/N) log2(N + 1) bits."""
-    _check_dim(n)
+    _require_local_dim(n)
     return math.log2(n) + (1.0 - 1.0 / n) * math.log2(n + 1)
 
 
 def teleport_threshold_linear(n: int) -> float:
     """Linear-entropy counterpart of the teleportation threshold,
     1 - 2/(N(N+1))."""
-    _check_dim(n)
+    _require_local_dim(n)
     denom = n * (n + 1)
     # single division keeps exact dyadic values (e.g. 2/3 at N=2) exact
     return (denom - 2) / denom
@@ -120,48 +107,5 @@ def teleport_threshold_linear(n: int) -> float:
 
 def densecoding_threshold(n: int) -> float:
     """Entropy above which dense coding cannot beat log2 N bits."""
-    _check_dim(n)
+    _require_local_dim(n)
     return math.log2(n)
-
-
-class DistillableEntanglement(NamedTuple):
-    ebits: float
-    distillable: bool
-
-
-def distillable_entanglement_rank2_belldiag(
-    rho: DensityMatrix, basis: MaxEntangledBasis
-) -> DistillableEntanglement:
-    """1 - S(rho) for a two-qubit state diagonal in a maximally entangled
-    basis with at most two nonzero eigenvalues.
-
-    The raw value is returned even when it is <= 0; the flag marks the
-    state non-distillable in that case.  Outside this narrow family the
-    formula does not apply and ``PreconditionFailed`` is raised.
-    """
-    if rho.n != 2:
-        raise PreconditionFailed(f"formula applies only at N=2, got N={rho.n}")
-    if basis.n != 2:
-        raise PreconditionFailed(f"basis must have N=2, got N={basis.n}")
-    stack = basis.stack
-    cmat = stack.conj() @ rho.entries @ stack.T
-    off = cmat - np.diag(np.diagonal(cmat))
-    off_dev = float(np.abs(off).max())
-    if off_dev >= 1e-9:
-        raise PreconditionFailed(
-            f"state is not diagonal in the given basis: off-diagonal "
-            f"element {off_dev:.3e} >= 1e-9"
-        )
-    spectrum = _clamped_spectrum(rho.entries)
-    rank = int((spectrum > 1e-9).sum())
-    if rank > 2:
-        raise PreconditionFailed(
-            f"expected at most 2 eigenvalues above 1e-9, found {rank}"
-        )
-    value = 1.0 - shannon_bits(spectrum)
-    return DistillableEntanglement(ebits=value, distillable=value > 0.0)
-
-
-def _check_dim(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise InvalidDimension(f"local dimension must be an integer >= 2, got {n!r}")

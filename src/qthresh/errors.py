@@ -49,10 +49,6 @@ class InvalidRank(ValidationError):
     pass
 
 
-class PreconditionFailed(ValidationError):
-    pass
-
-
 class ParseError(ValidationError):
     """A state file could not be parsed into a matrix."""
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import shannon_bits, teleport_threshold_vn, densecoding_threshold
-from .errors import InvalidDimension, InvalidParameter, NotProbabilityVector
-from .states import DensityMatrix, bell_basis, canonical_phi
+from .errors import InvalidParameter, NotProbabilityVector
+from .states import DensityMatrix, _require_local_dim, bell_basis, canonical_phi
 
 BISECTION_TOL = 1e-10
 
@@ -23,10 +23,7 @@ class WernerParams:
     epsilon: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
-            raise InvalidDimension(
-                f"local dimension must be an integer >= 2, got {self.n!r}"
-            )
+        _require_local_dim(self.n)
         if not (0.0 <= self.epsilon <= 1.0):
             raise InvalidParameter(
                 f"epsilon must lie in [0, 1], got {self.epsilon}"
@@ -84,8 +81,7 @@ def bell_diagonal(n: int, weights) -> DensityMatrix:
 def extremal_threshold_weights(n: int) -> np.ndarray:
     """Weight 1/N on the seed state, the rest uniform: the distribution
     whose Shannon entropy equals the teleportation threshold exactly."""
-    if n < 2:
-        raise InvalidDimension(f"local dimension must be >= 2, got {n}")
+    _require_local_dim(n)
     d = n * n
     w = np.full(d, (1.0 - 1.0 / n) / (d - 1))
     w[0] = 1.0 / n
@@ -130,8 +126,7 @@ def critical_epsilons(n: int) -> CriticalEpsilons:
     Any eps above 1/N makes F exceed 1/N; the other two are where the
     entropy meets the teleportation and dense-coding thresholds.
     """
-    if n < 2:
-        raise InvalidDimension(f"local dimension must be >= 2, got {n}")
+    _require_local_dim(n)
     return CriticalEpsilons(
         eps_fef_above=1.0 / n,
         eps_entropy_at_teleport_threshold=_bisect_entropy(n, teleport_threshold_vn(n)),

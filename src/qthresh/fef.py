@@ -14,11 +14,13 @@ With u = vec(U) (row-major) the objective is the quadratic form
 
     f(U) = <Psi_U| rho |Psi_U> = u^dagger rho u / N,
 
-maximized by gradient ascent retracted onto the unitary group by polar
-decomposition.  Restarts run batched; each is monotone and the best
-objective over restarts is a certified *lower* bound (it is attained by
-an explicit state).  The matching upper bound is lambda_max(rho), which
-dominates <Psi|rho|Psi> for every unit vector |Psi>.
+which is convex because rho is positive semidefinite.  It is maximized
+by the generalized power method (Journee, Nesterov, Richtarik &
+Sepulchre, JMLR 11, 517 (2010)): U <- polar(mat(rho u)), monotone with
+no step size.  Restarts run batched and the best objective over
+restarts is a certified *lower* bound (it is attained by an explicit
+state).  The matching upper bound is lambda_max(rho), which dominates
+<Psi|rho|Psi> for every unit vector |Psi>.
 
 For states diagonal in a maximally entangled basis no search is needed:
 F is the largest diagonal weight (``fef_bell_diagonal_exact``).
@@ -36,10 +38,6 @@ from .entropy import spectral_decomposition
 from .sampling import haar_unitary
 from .states import DensityMatrix
 
-INITIAL_STEP = 0.1
-STEP_GROWTH = 2.0
-STEP_CAP = 1e6
-MAX_HALVINGS = 30
 GAP_TOL = 1e-6
 _SEED_MASK = (1 << 64) - 1
 
@@ -86,16 +84,6 @@ class TeleportVerdict(str, Enum):
     UNDECIDED = "Undecided"
 
 
-def fef_objective(rho: DensityMatrix, unitary: np.ndarray) -> float:
-    """Overlap <Psi_U|rho|Psi_U> for |Psi_U> = (U (x) I)|Phi>."""
-    u = np.asarray(unitary, dtype=np.complex128).reshape(-1)
-    if u.shape != (rho.dim,):
-        raise InvalidParameter(
-            f"unitary must be {rho.n} x {rho.n} for this state"
-        )
-    return float(np.einsum("i,ij,j->", u.conj(), rho.entries, u).real) / rho.n
-
-
 def fef_bell_diagonal_exact(coeffs) -> tuple[float, int]:
     """Exact F for a state diagonal in a maximally entangled basis.
 
@@ -124,19 +112,20 @@ def _polar(batch: np.ndarray) -> np.ndarray:
 
 
 def _ascend(rho_entries, n, starts, max_iters, step_tol):
-    """Batched monotone gradient ascent over the unitary group.
+    """Batched generalized power method over the unitary group.
 
-    Per iteration the Euclidean gradient (rho u)/N is followed and the
-    result retracted by polar decomposition.  The step starts at 0.1,
-    halves on objective decrease (at most 30 times per iteration) and the
-    accepted step carries over, doubling after a clean acceptance: in the
-    large-step limit the retraction becomes polar(gradient), a monotone
-    power-method step for this convex quadratic objective, which is what
-    makes nearly-flat landscapes converge in tens of iterations.  A step
-    is accepted only if the objective does not drop, so each restart's
-    objective sequence is non-decreasing; a restart stops once its
-    accepted improvement falls below ``step_tol`` or no halving produces
-    an improvement.
+    Each iteration replaces every active restart's U by V, the polar
+    factor of mat(rho u).  Because f is convex it lies above its tangent
+    plane, f(v) >= f(u) + 2 Re<rho u, v - u> / N, and V maximizes
+    Re<rho u, v> over all unitaries, U included, so the step never
+    lowers f and needs no step size (Journee, Nesterov, Richtarik &
+    Sepulchre, JMLR 11, 517 (2010)).  A candidate is accepted when the
+    objective does not drop, so each restart's objective sequence is
+    non-decreasing even under rounding.  A restart stops once its gain is
+    below ``step_tol`` or not positive; by the same inequality a zero
+    gain means U itself maximizes the linear term, the fixed-point
+    condition of the method, so up to rounding a stopped restart has
+    converged.
 
     Returns (unitaries, objectives, iterations, last_deltas).
     """
@@ -149,50 +138,24 @@ def _ascend(rho_entries, n, starts, max_iters, step_tol):
     active = np.ones(b, dtype=bool)
     iterations = np.zeros(b, dtype=np.int64)
     last_delta = np.full(b, np.inf)
-    steps = np.full(b, INITIAL_STEP)
 
     for _ in range(max_iters):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        cur_u = units[idx]
-        cur_f = f[idx]
-        grads = ru[idx].reshape(-1, n, n) / n
-        step = steps[idx].copy()
-
-        cand_u = _polar(cur_u + step[:, None, None] * grads)
+        cand_u = _polar(ru[idx].reshape(-1, n, n))
         cand_us = cand_u.reshape(-1, n * n)
         cand_ru = cand_us @ rho_t
         cand_f = (cand_us.conj() * cand_ru).sum(axis=1).real / n
-        halved = np.zeros(idx.size, dtype=bool)
-        for _halving in range(MAX_HALVINGS):
-            worse = cand_f < cur_f
-            if not worse.any():
-                break
-            halved |= worse
-            step[worse] *= 0.5
-            retry_u = _polar(cur_u[worse] + step[worse, None, None] * grads[worse])
-            retry_us = retry_u.reshape(-1, n * n)
-            retry_ru = retry_us @ rho_t
-            cand_u[worse] = retry_u
-            cand_us[worse] = retry_us
-            cand_ru[worse] = retry_ru
-            cand_f[worse] = (retry_us.conj() * retry_ru).sum(axis=1).real / n
-
-        improved = cand_f >= cur_f
+        delta = cand_f - f[idx]
+        improved = delta >= 0.0
         acc = idx[improved]
         units[acc] = cand_u[improved]
-        us[acc] = cand_us[improved]
         ru[acc] = cand_ru[improved]
         f[acc] = cand_f[improved]
-        steps[idx] = np.minimum(
-            np.where(halved, step, step * STEP_GROWTH), STEP_CAP
-        )
-        delta = np.where(improved, cand_f - cur_f, 0.0)
         iterations[idx] += 1
         last_delta[idx] = delta
-        finished = ~improved | (delta < step_tol)
-        active[idx[finished]] = False
+        active[idx[(delta < step_tol) | (delta <= 0.0)]] = False
 
     return units, f, iterations, last_delta
 
@@ -207,7 +170,7 @@ def _spectral_start(entries: np.ndarray, n: int, seed: int) -> np.ndarray:
 
     For states diagonal in a maximally entangled basis (and for pure
     states) this IS the optimizing unitary, which rescues convergence
-    when the top weights are nearly tied and plain ascent stalls.  Small
+    when the top weights are nearly tied and the power step crawls.  Small
     dimensions use the exact eigenvector; above 1024 seeded power
     iteration keeps the start cheap (the large-N uses are well-gapped).
     """
@@ -249,18 +212,25 @@ def _two_qubit_exact(entries: np.ndarray) -> tuple[float, np.ndarray]:
     return float(values[-1]), unitary
 
 
-def _lower_search(rho: DensityMatrix, cfg: OptimizerConfig):
-    """Returns (lower, best unitary, restarts run, total iterations,
-    converged).
+def fef_upper_bound(rho: DensityMatrix) -> float:
+    """lambda_max(rho): dominates <Psi|rho|Psi> for every unit vector."""
+    return float(spectral_decomposition(rho.entries).eigenvalues[0])
 
-    At N = 2 the value is exact: no restarts and no iterations.  For
-    N >= 3 the spectral warm start plus all seeded restarts ascend, and
-    ``converged`` says whether the winning restart's final objective
-    change fell below ``step_tol``.
+
+def fef_certified(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> FefBounds:
+    """Lower and upper bound together with the optimizing unitary.
+
+    At N = 2 F is exact, so lower = upper with no restarts and no
+    iterations.  For N >= 3 the spectral warm start plus all seeded
+    restarts ascend, ``lower`` is the best objective, ``upper`` is
+    lambda_max(rho), and ``converged`` says whether the gap is within
+    ``GAP_TOL`` or the winning restart's last gain fell below
+    ``step_tol``.
     """
+    cfg = cfg if cfg is not None else OptimizerConfig()
     if rho.n == 2:
         lower, best_u = _two_qubit_exact(rho.entries)
-        return lower, best_u, 0, 0, True
+        return FefBounds(lower, lower, best_u, 0, 0, True)
     starts = np.stack(
         [_spectral_start(rho.entries, rho.n, cfg.seed)]
         + [
@@ -272,55 +242,15 @@ def _lower_search(rho: DensityMatrix, cfg: OptimizerConfig):
         rho.entries, rho.n, starts, cfg.max_iters, cfg.step_tol
     )
     best = int(np.argmax(f))
-    return (
-        float(f[best]),
-        units[best],
-        cfg.restarts,
-        int(iterations.sum()),
-        bool(last_delta[best] < cfg.step_tol),
-    )
-
-
-def fef_lower_bound(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> FefBounds:
-    """A certified lower bound on F: exact at N = 2, the best objective
-    over seeded restarts for N >= 3.
-
-    The ``upper`` field is filled with the trivial bound 1.0 here;
-    ``fef_certified`` replaces it with a certified upper bound.
-    """
-    cfg = cfg if cfg is not None else OptimizerConfig()
-    lower, best_u, restarts, iters, converged = _lower_search(rho, cfg)
-    return FefBounds(
-        lower=lower,
-        upper=1.0,
-        best_unitary=best_u,
-        restarts_used=restarts,
-        iterations_total=iters,
-        converged=(1.0 - lower) <= GAP_TOL or converged,
-    )
-
-
-def fef_upper_bound(rho: DensityMatrix) -> float:
-    """lambda_max(rho): dominates <Psi|rho|Psi> for every unit vector."""
-    return float(spectral_decomposition(rho.entries).eigenvalues[0])
-
-
-def fef_certified(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> FefBounds:
-    """Lower and upper bound together with the optimizing unitary.
-
-    At N = 2 the lower bound is exact, so it is also the upper bound;
-    for N >= 3 the upper bound is lambda_max(rho).
-    """
-    cfg = cfg if cfg is not None else OptimizerConfig()
-    lower, best_u, restarts, iters, converged = _lower_search(rho, cfg)
-    upper = lower if rho.n == 2 else fef_upper_bound(rho)
+    lower = float(f[best])
+    upper = fef_upper_bound(rho)
     return FefBounds(
         lower=lower,
         upper=upper,
-        best_unitary=best_u,
-        restarts_used=restarts,
-        iterations_total=iters,
-        converged=(upper - lower) <= GAP_TOL or converged,
+        best_unitary=units[best],
+        restarts_used=cfg.restarts,
+        iterations_total=int(iterations.sum()),
+        converged=(upper - lower) <= GAP_TOL or bool(last_delta[best] < cfg.step_tol),
     )
 
 

@@ -11,8 +11,8 @@ phase index negated and conjugated, O(-a,b) = omega^{ab} conj(O(a,-b)),
 so the weights of the two shifts fold together once per call.  Each call
 allocates one workspace sized for a chunk of inputs and every chunk runs
 in it, so memory is bounded independently of the sample count and no
-chunk allocates.  ``teleportation_channel_apply`` keeps the literal
-measure-and-correct simulation.
+chunk allocates.  The literal measure-and-correct simulation is kept
+as the reference oracle in ``tests/oracles.py``.
 
 Alice is the first tensor factor everywhere: she measures (input (x) her
 resource half) in teleportation and applies the encoding unitary to the
@@ -32,17 +32,14 @@ from .entropy import (
     hermitian_entropy_bits,
     von_neumann_entropy,
 )
-from .errors import DimensionMismatch, InvalidParameter
+from .errors import InvalidParameter
 from .sampling import check_seed
 from .states import (
     DensityMatrix,
-    PureState,
     bell_basis,
     bell_diagonal_coeffs,
     canonical_phi,
     partial_trace,
-    tensor,
-    weyl_operator,
 )
 
 # A Monte Carlo chunk holds _MC_CHUNK_ENTRIES // N^2 inputs: their full
@@ -67,15 +64,6 @@ class TeleportResult:
     n_samples: int = 0
 
 
-@dataclass(frozen=True)
-class DenseCodingEnsemble:
-    """The N^2 Weyl-encoded signal states, uniformly weighted."""
-
-    n: int
-    signal_states: tuple[DensityMatrix, ...]
-    probabilities: np.ndarray
-
-
 class DenseCodingVerdict(str, Enum):
     USEFUL = "Useful"
     NOT_USEFUL = "NotUseful"
@@ -84,62 +72,6 @@ class DenseCodingVerdict(str, Enum):
 def classical_fidelity(n: int) -> float:
     """Best average teleportation fidelity without entanglement, 2/(N+1)."""
     return 2.0 / (n + 1.0)
-
-
-def rotate_first_factor(rho: DensityMatrix, unitary: np.ndarray) -> DensityMatrix:
-    """(V (x) I) rho (V (x) I)^dagger.
-
-    With V = best_unitary^dagger from the singlet-fraction optimizer this
-    pre-rotates a resource so that its overlap with the canonical |Phi>
-    equals the certified lower bound, which is how the simulator's
-    fidelity is linked to F(rho).
-    """
-    v = np.asarray(unitary, dtype=np.complex128)
-    if v.shape != (rho.n, rho.n):
-        raise DimensionMismatch(
-            f"unitary must be {rho.n} x {rho.n}, got {v.shape}"
-        )
-    full = tensor(v, np.eye(rho.n))
-    entries = full @ rho.entries @ full.conj().T
-    entries = (entries + entries.conj().T) / 2.0
-    return DensityMatrix(n=rho.n, entries=entries)
-
-
-def _channel_apply_matrix(resource: DensityMatrix, sigma: np.ndarray) -> np.ndarray:
-    """Standard-protocol output for an arbitrary (not necessarily
-    Hermitian) input matrix; the channel is linear so this also builds
-    the transfer matrix.
-
-    Outcome (a, b) of the measurement in the default maximally entangled
-    basis leaves Bob holding W(a,b)^dagger-twisted input, so his
-    correction is W(a,b) itself.
-    """
-    n = resource.n
-    blocks = resource.entries.reshape(n, n, n, n)
-    out = np.zeros((n, n), dtype=np.complex128)
-    for a in range(n):
-        for b in range(n):
-            w = weyl_operator(n, a, b)
-            twisted = w.conj().T @ sigma @ w
-            conditional = np.einsum("mp,mjpl->jl", twisted, blocks) / n
-            out += w @ conditional @ w.conj().T
-    return out
-
-
-def teleportation_channel_apply(
-    rho_resource: DensityMatrix, input_state: PureState
-) -> np.ndarray:
-    """Send one N-dimensional pure state through the standard protocol.
-
-    Returns Bob's N x N output state (unit trace, Hermitian, PSD up to
-    numerical noise).
-    """
-    n = rho_resource.n
-    if input_state.dim != n:
-        raise DimensionMismatch(
-            f"input has dimension {input_state.dim}, resource expects {n}"
-        )
-    return _channel_apply_matrix(rho_resource, input_state.projector())
 
 
 def teleportation_avg_fidelity_exact(rho_resource: DensityMatrix) -> TeleportResult:
@@ -268,33 +200,6 @@ def teleportation_avg_fidelity_mc(
         mc_std_error=math.sqrt(m2 / (count - 1)) / math.sqrt(count),
         n_samples=n_samples,
     )
-
-
-def densecoding_ensemble(rho: DensityMatrix) -> DenseCodingEnsemble:
-    """Signal states (W(a,b) (x) I) rho (W(a,b) (x) I)^dagger, uniform
-    over the N^2 messages k = a*N + b."""
-    n = rho.n
-    eye = np.eye(n)
-    signals = []
-    for a in range(n):
-        for b in range(n):
-            full = tensor(weyl_operator(n, a, b), eye)
-            entries = full @ rho.entries @ full.conj().T
-            entries = (entries + entries.conj().T) / 2.0
-            signals.append(DensityMatrix(n=n, entries=entries))
-    probs = np.full(n * n, 1.0 / (n * n))
-    return DenseCodingEnsemble(n=n, signal_states=tuple(signals), probabilities=probs)
-
-
-def densecoding_holevo(ensemble: DenseCodingEnsemble) -> float:
-    """S(sum_i p_i W_i) - sum_i p_i S(W_i), in bits."""
-    avg = np.zeros_like(ensemble.signal_states[0].entries)
-    signal_entropy = 0.0
-    for p, sig in zip(ensemble.probabilities, ensemble.signal_states):
-        avg = avg + p * sig.entries
-        signal_entropy += p * von_neumann_entropy(sig)
-    avg_entropy = von_neumann_entropy(DensityMatrix(n=ensemble.n, entries=avg))
-    return avg_entropy - signal_entropy
 
 
 def densecoding_chi_standard(rho: DensityMatrix) -> float:

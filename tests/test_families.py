@@ -37,6 +37,8 @@ class TestWernerConstruction:
     def test_rejects_bad_dimension(self):
         with pytest.raises(InvalidDimension):
             qt.WernerParams(1, 0.5)
+        with pytest.raises(InvalidDimension):
+            qt.WernerParams(3.0, 0.5)
 
 
 class TestWernerClosedForms:
@@ -131,6 +133,11 @@ class TestExtremalState:
         value, _ = qt.fef_bell_diagonal_exact(qt.extremal_threshold_weights(n))
         assert value == 1.0 / n
 
+    @pytest.mark.parametrize("n", [1, 3.0, True])
+    def test_rejects_bad_dimension(self, n):
+        with pytest.raises(InvalidDimension):
+            qt.extremal_threshold_weights(n)
+
     def test_linear_entropy_n2_exact(self):
         # purity 1/4 + 3*(1/6)^2 = 1/3 by hand
         assert qt.linear_entropy(qt.extremal_threshold_state(2)) == pytest.approx(
@@ -142,6 +149,11 @@ class TestCriticalEpsilons:
     def test_fef_marker(self):
         assert qt.critical_epsilons(2).eps_fef_above == 0.5
         assert qt.critical_epsilons(5).eps_fef_above == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("n", [1, 3.0, True])
+    def test_rejects_bad_dimension(self, n):
+        with pytest.raises(InvalidDimension):
+            qt.critical_epsilons(n)
 
     def test_teleport_marker_matches_closed_form(self):
         # the threshold-saturating Werner state is eps = 1/(N+1): its top

@@ -7,7 +7,7 @@ from qthresh import fef
 from qthresh.errors import InvalidParameter, NotProbabilityVector
 from qthresh.fef import _ascend, _spectral_start
 
-from oracles import fef_bruteforce_n2
+from oracles import fef_bruteforce_n2, fef_objective
 
 
 def schmidt_state(n, coeffs):
@@ -61,7 +61,7 @@ class TestOptimizerConfig:
 class TestLowerBound:
     def test_phi_reaches_one(self):
         rho = qt.DensityMatrix(2, qt.canonical_phi(2).projector())
-        bounds = qt.fef_lower_bound(rho)
+        bounds = qt.fef_certified(rho)
         assert bounds.lower == pytest.approx(1.0, abs=1e-9)
         # optimal unitary is a global phase times identity
         assert abs(np.trace(bounds.best_unitary)) / 2 == pytest.approx(
@@ -69,23 +69,19 @@ class TestLowerBound:
         )
 
     def test_maximally_mixed_constant_objective(self):
-        bounds = qt.fef_lower_bound(qt.maximally_mixed(2))
+        bounds = qt.fef_certified(qt.maximally_mixed(2))
         assert bounds.lower == pytest.approx(0.25, abs=1e-9)
 
     def test_werner_06(self):
-        bounds = qt.fef_lower_bound(qt.werner(qt.WernerParams(2, 0.6)))
+        bounds = qt.fef_certified(qt.werner(qt.WernerParams(2, 0.6)))
         assert bounds.lower == pytest.approx(0.7, abs=1e-6)
 
     def test_lower_recomputable_from_unitary(self):
         rho = qt.hs_random_density(4, 4, seed=8)
-        bounds = qt.fef_lower_bound(rho)
-        assert qt.fef_objective(rho, bounds.best_unitary) == pytest.approx(
+        bounds = qt.fef_certified(rho)
+        assert fef_objective(rho, bounds.best_unitary) == pytest.approx(
             bounds.lower, abs=1e-10
         )
-
-    def test_trivial_upper_until_certified(self):
-        bounds = qt.fef_lower_bound(qt.maximally_mixed(2))
-        assert bounds.upper == 1.0
 
 
 class TestUpperBound:
@@ -229,7 +225,7 @@ class TestTwoQubitExact:
             starts = np.stack([_spectral_start(rho.entries, 2, 0)] + haar)
             _, f, _, _ = _ascend(rho.entries, 2, starts, 500, 1e-10)
             ascent = float(f.max())
-            exact = qt.fef_lower_bound(rho).lower
+            exact = qt.fef_certified(rho).lower
             assert exact >= ascent - 1e-12
             assert exact - ascent <= 1e-6
 
@@ -248,7 +244,7 @@ class TestTwoQubitExact:
         bounds = qt.fef_certified(rho)
         u = bounds.best_unitary
         assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
-        assert abs(qt.fef_objective(rho, u) - bounds.lower) < 1e-12
+        assert abs(fef_objective(rho, u) - bounds.lower) < 1e-12
 
     def test_no_search_and_closed_gap(self):
         rho = qt.hs_random_density(4, 4, seed=9)
@@ -256,9 +252,6 @@ class TestTwoQubitExact:
         assert certified.upper == certified.lower
         assert certified.converged is True
         assert certified.restarts_used == 0 and certified.iterations_total == 0
-        lower = qt.fef_lower_bound(rho)
-        assert lower.lower == certified.lower and lower.upper == 1.0
-        assert lower.restarts_used == 0 and lower.iterations_total == 0
 
 
 _SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -269,7 +262,7 @@ class TestTwoQubitProperties:
     @given(seed=_SEEDS, rank=st.integers(min_value=1, max_value=4))
     def test_below_top_eigenvalue(self, seed, rank):
         rho = qt.hs_random_density(4, rank, seed=seed)
-        lower = qt.fef_lower_bound(rho).lower
+        lower = qt.fef_certified(rho).lower
         assert lower <= np.linalg.eigvalsh(rho.entries)[-1] + 1e-12
 
     @settings(derandomize=True)
@@ -279,7 +272,7 @@ class TestTwoQubitProperties:
         vw = qt.tensor(qt.haar_unitary(2, seed=v_seed), qt.haar_unitary(2, seed=w_seed))
         rotated = qt.validate_density(vw @ rho.entries @ vw.conj().T, 2)
         assert abs(
-            qt.fef_lower_bound(rotated).lower - qt.fef_lower_bound(rho).lower
+            qt.fef_certified(rotated).lower - qt.fef_certified(rho).lower
         ) <= 1e-9
 
     @settings(derandomize=True)
@@ -290,13 +283,71 @@ class TestTwoQubitProperties:
     )
     def test_bell_diagonal_is_max_weight(self, raw):
         w = np.asarray(raw) / sum(raw)
-        lower = qt.fef_lower_bound(qt.bell_diagonal(2, w)).lower
+        lower = qt.fef_certified(qt.bell_diagonal(2, w)).lower
         assert abs(lower - float(w.max())) <= 1e-12
 
     @settings(derandomize=True)
     @given(seed=_SEEDS, rank=st.integers(min_value=1, max_value=4))
     def test_certified_gap_is_zero(self, seed, rank):
         assert qt.fef_certified(qt.hs_random_density(4, rank, seed=seed)).gap == 0
+
+
+_BELL_WEIGHTS = st.integers(min_value=3, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.floats(min_value=0.0, max_value=1.0), min_size=n * n, max_size=n * n
+    ).filter(lambda w: sum(w) > 1e-3)
+)
+
+
+class TestPowerStep:
+    """The step-free search for N >= 3 against exact values."""
+
+    def test_one_polar_per_iteration(self, monkeypatch):
+        polar = fef._polar
+        calls = []
+
+        def counting_polar(batch):
+            calls.append(len(batch))
+            return polar(batch)
+
+        monkeypatch.setattr(fef, "_polar", counting_polar)
+        rho = qt.hs_random_density(9, 9, seed=2)
+        starts = np.stack([qt.haar_unitary(3, seed=r) for r in range(5)])
+        iterations = _ascend(rho.entries, 3, starts, 500, 1e-10)[2]
+        assert len(calls) == int(iterations.max())
+        assert sum(calls) == int(iterations.sum())
+
+    @settings(derandomize=True, deadline=None)
+    @given(raw=_BELL_WEIGHTS)
+    def test_bell_diagonal_is_max_weight(self, raw):
+        n = int(np.sqrt(len(raw)))
+        w = np.asarray(raw) / sum(raw)
+        top, runner_up = np.sort(w)[::-1][:2]
+        lower = qt.fef_certified(qt.bell_diagonal(n, w)).lower
+        assert lower <= top + 1e-12
+        # a tied top weight leaves a flat direction in which the search
+        # stops on its step_tol = 1e-10 gain rule (measured: up to 1.8e-10
+        # short, with or without a step size); a unique one is found exactly
+        assert top - lower <= (1e-12 if top - runner_up > 1e-9 else 1e-9)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_werner_matches_closed_form(self, n):
+        for eps in (0.0, 1.0 / (n + 1), 1.0 / n, 0.5, 0.9, 1.0):
+            params = qt.WernerParams(n, eps)
+            lower = qt.fef_certified(qt.werner(params)).lower
+            assert abs(lower - qt.werner_fef_closed_form(params)) <= 1e-12
+
+    def test_invariant_under_u_tensor_u_conj(self):
+        # (U (x) U*)|Phi> = |Phi>, so the rotation maps maximally entangled
+        # states onto maximally entangled states and leaves F unchanged
+        for i in range(20):
+            rho = qt.hs_random_density(9, 9, seed=500 + i)
+            u = qt.haar_unitary(3, seed=600 + i)
+            uu = qt.tensor(u, u.conj())
+            rotated = qt.validate_density(uu @ rho.entries @ uu.conj().T, 3)
+            assert abs(
+                qt.fef_certified(rotated).lower - qt.fef_certified(rho).lower
+            ) <= 1e-9
 
 
 class TestTeleportVerdict:

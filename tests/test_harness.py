@@ -96,10 +96,10 @@ class TestVerifyTheorem:
             qt.verify_theorem(2, 10, qt.SamplerSpec(kind=kind, dim=4, seed=0))
 
     def test_violation_message_replays_the_sample(self, monkeypatch):
-        def fake_lower_bound(rho, cfg):
+        def fake_certified(rho, cfg):
             return qt.FefBounds(0.99, 1.0, np.eye(rho.n), 0, 0, True)
 
-        monkeypatch.setattr("qthresh.reports.fef_lower_bound", fake_lower_bound)
+        monkeypatch.setattr("qthresh.reports.fef_certified", fake_certified)
         spec = qt.SamplerSpec(
             kind="high_entropy", dim=4, mix_toward_identity=0.9, seed=7
         )

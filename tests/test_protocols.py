@@ -6,7 +6,13 @@ import pytest
 
 import qthresh as qt
 from qthresh.errors import DimensionMismatch, InvalidParameter
-from oracles import _channel_transfer_matrix
+from oracles import (
+    _channel_transfer_matrix,
+    densecoding_ensemble,
+    densecoding_holevo,
+    rotate_first_factor,
+    teleportation_channel_apply,
+)
 from qthresh.protocols import _MC_CHUNK_ENTRIES, _fold_weights, _weyl_fidelities
 
 
@@ -20,17 +26,17 @@ class TestTeleportationChannel:
         resource = phi_projector_state(n)
         for seed in range(4):
             psi = qt.haar_pure(n, seed=seed)
-            out = qt.teleportation_channel_apply(resource, psi)
+            out = teleportation_channel_apply(resource, psi)
             assert np.abs(out - psi.projector()).max() < 1e-10
 
     def test_maximally_mixed_resource_depolarizes(self):
         ket0 = qt.PureState(2, np.array([1, 0], dtype=complex))
-        out = qt.teleportation_channel_apply(qt.maximally_mixed(2), ket0)
+        out = teleportation_channel_apply(qt.maximally_mixed(2), ket0)
         assert np.abs(out - np.eye(2) / 2).max() < 1e-10
 
     def test_werner_resource_acts_depolarizing(self):
         plus = qt.PureState(2, np.array([1, 1], dtype=complex) / np.sqrt(2))
-        out = qt.teleportation_channel_apply(qt.werner(qt.WernerParams(2, 0.5)), plus)
+        out = teleportation_channel_apply(qt.werner(qt.WernerParams(2, 0.5)), plus)
         fidelity = float((plus.amplitudes.conj() @ out @ plus.amplitudes).real)
         assert fidelity == pytest.approx(0.75, abs=1e-9)
 
@@ -39,13 +45,13 @@ class TestTeleportationChannel:
             for i in range(50):
                 resource = qt.hs_random_density(n * n, n * n, seed=1000 + i)
                 psi = qt.haar_pure(n, seed=2000 + i)
-                out = qt.teleportation_channel_apply(resource, psi)
+                out = teleportation_channel_apply(resource, psi)
                 assert abs(float(np.trace(out).real) - 1.0) < 1e-9
                 assert np.abs(out - out.conj().T).max() < 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            qt.teleportation_channel_apply(
+            teleportation_channel_apply(
                 qt.maximally_mixed(3), qt.haar_pure(2, seed=0)
             )
 
@@ -53,7 +59,7 @@ class TestTeleportationChannel:
         resource = qt.hs_random_density(4, 4, seed=17)
         transfer = _channel_transfer_matrix(resource)
         psi = qt.haar_pure(2, seed=18)
-        direct = qt.teleportation_channel_apply(resource, psi)
+        direct = teleportation_channel_apply(resource, psi)
         via_matrix = (transfer @ psi.projector().reshape(-1)).reshape(2, 2)
         assert np.abs(direct - via_matrix).max() < 1e-12
 
@@ -156,7 +162,7 @@ class TestWeylChannelFidelity:
             np.empty(20),
         )
         for row, f in zip(psi, fast):
-            out = qt.teleportation_channel_apply(rho, qt.PureState(n, row))
+            out = teleportation_channel_apply(rho, qt.PureState(n, row))
             assert abs(f - float((row.conj() @ out @ row).real)) < 1e-12
 
     @pytest.mark.parametrize("n, n_samples", [(2, 40_000), (3, 21_966), (4, 10_000)])
@@ -217,7 +223,7 @@ class TestRotationRecipe:
     def test_prerotation_links_fidelity_to_fef(self):
         resource = qt.bell_diagonal(2, [0.2, 0.5, 0.2, 0.1])
         bounds = qt.fef_certified(resource)
-        rotated = qt.rotate_first_factor(resource, bounds.best_unitary.conj().T)
+        rotated = rotate_first_factor(resource, bounds.best_unitary.conj().T)
         result = qt.teleportation_avg_fidelity_exact(rotated)
         assert result.f_phi == pytest.approx(bounds.lower, abs=1e-9)
         assert result.f_avg_exact == pytest.approx(
@@ -226,12 +232,12 @@ class TestRotationRecipe:
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionMismatch):
-            qt.rotate_first_factor(qt.maximally_mixed(2), np.eye(3))
+            rotate_first_factor(qt.maximally_mixed(2), np.eye(3))
 
 
 class TestDenseCodingEnsemble:
     def test_phi_gives_orthogonal_signals(self):
-        ensemble = qt.densecoding_ensemble(phi_projector_state(2))
+        ensemble = densecoding_ensemble(phi_projector_state(2))
         assert len(ensemble.signal_states) == 4
         np.testing.assert_allclose(ensemble.probabilities, [0.25] * 4)
         vectors = []
@@ -244,14 +250,14 @@ class TestDenseCodingEnsemble:
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
 
     def test_maximally_mixed_signals_identical(self):
-        ensemble = qt.densecoding_ensemble(qt.maximally_mixed(2))
+        ensemble = densecoding_ensemble(qt.maximally_mixed(2))
         for sig in ensemble.signal_states:
             np.testing.assert_allclose(sig.entries, np.eye(4) / 4, atol=1e-12)
 
     def test_average_first_marginal_maximally_mixed(self):
         for seed in range(5):
             rho = qt.hs_random_density(4, 4, seed=seed)
-            ensemble = qt.densecoding_ensemble(rho)
+            ensemble = densecoding_ensemble(rho)
             avg = sum(
                 p * sig.entries
                 for p, sig in zip(ensemble.probabilities, ensemble.signal_states)
@@ -268,7 +274,7 @@ class TestDenseCodingEnsemble:
         rng = np.random.default_rng(5)
         for _ in range(3):
             rho = qt.bell_diagonal(2, rng.dirichlet(np.ones(4)))
-            ensemble = qt.densecoding_ensemble(rho)
+            ensemble = densecoding_ensemble(rho)
             avg = sum(
                 p * sig.entries
                 for p, sig in zip(ensemble.probabilities, ensemble.signal_states)
@@ -279,11 +285,11 @@ class TestDenseCodingEnsemble:
 
 class TestHolevo:
     def test_phi(self):
-        chi = qt.densecoding_holevo(qt.densecoding_ensemble(phi_projector_state(2)))
+        chi = densecoding_holevo(densecoding_ensemble(phi_projector_state(2)))
         assert chi == pytest.approx(2.0, abs=1e-9)
 
     def test_maximally_mixed(self):
-        chi = qt.densecoding_holevo(qt.densecoding_ensemble(qt.maximally_mixed(2)))
+        chi = densecoding_holevo(densecoding_ensemble(qt.maximally_mixed(2)))
         assert chi == pytest.approx(0.0, abs=1e-9)
 
     def test_werner_half(self):
@@ -295,7 +301,7 @@ class TestHolevo:
         for n in (2, 3):
             for _ in range(5):
                 rho = qt.bell_diagonal(n, rng.dirichlet(np.ones(n * n)))
-                chi = qt.densecoding_holevo(qt.densecoding_ensemble(rho))
+                chi = densecoding_holevo(densecoding_ensemble(rho))
                 assert chi == pytest.approx(
                     2 * np.log2(n) - qt.von_neumann_entropy(rho), abs=1e-9
                 )
@@ -304,7 +310,7 @@ class TestHolevo:
         for n in (2, 3):
             for seed in range(5):
                 rho = qt.hs_random_density(n * n, n * n, seed=seed)
-                via_ensemble = qt.densecoding_holevo(qt.densecoding_ensemble(rho))
+                via_ensemble = densecoding_holevo(densecoding_ensemble(rho))
                 via_identity = qt.densecoding_chi_standard(rho)
                 assert via_ensemble == pytest.approx(via_identity, abs=1e-9)
 

@@ -159,6 +159,40 @@ class TestSamplerSpec:
         assert not np.allclose(a.entries, c.entries)
 
     def test_rank_limited_requires_rank(self):
-        spec = qt.SamplerSpec(kind="rank_limited", dim=4, seed=0)
         with pytest.raises(InvalidRank):
-            qt.sample(spec)
+            qt.SamplerSpec(kind="rank_limited", dim=4, seed=0)
+
+    def test_high_entropy_requires_mix(self):
+        with pytest.raises(InvalidParameter, match="mix_toward_identity"):
+            qt.SamplerSpec(kind="high_entropy", dim=4, seed=0)
+
+    @pytest.mark.parametrize("kind", ["hilbert_schmidt", "rank_limited", "high_entropy"])
+    def test_density_kinds_need_square_dim(self, kind):
+        with pytest.raises(InvalidDimension, match="perfect square"):
+            qt.SamplerSpec(kind=kind, dim=5, rank=1, mix_toward_identity=0.5)
+
+    def test_pure_kinds_take_any_dim(self):
+        assert qt.sample(qt.SamplerSpec(kind="haar_pure", dim=5, seed=1)).dim == 5
+
+    @pytest.mark.parametrize(
+        "seed",
+        [np.random.SeedSequence(1), np.random.default_rng(1), 1.0, "1"],
+        ids=["seed_sequence", "generator", "float", "str"],
+    )
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(InvalidParameter, match="must be an integer"):
+            qt.SamplerSpec(kind="hilbert_schmidt", dim=4, seed=seed)
+
+    def test_numpy_integer_seed_matches_int(self):
+        a = qt.sample(qt.SamplerSpec(kind="hilbert_schmidt", dim=4, seed=np.int64(5)), 3)
+        b = qt.sample(qt.SamplerSpec(kind="hilbert_schmidt", dim=4, seed=5), 3)
+        np.testing.assert_array_equal(a.entries, b.entries)
+
+    def test_direct_samplers_still_take_seed_objects(self):
+        seq = np.random.SeedSequence(4)
+        np.testing.assert_array_equal(
+            qt.haar_unitary(3, seq), qt.haar_unitary(3, np.random.SeedSequence(4))
+        )
+        rho = qt.hs_random_density(4, seed=np.random.default_rng(4))
+        result = qt.teleportation_avg_fidelity_mc(rho, 100, seed=np.random.SeedSequence(4))
+        assert result.n_samples == 100
