@@ -121,4 +121,4 @@ from .states import (
     weyl_operator,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"

@@ -16,10 +16,12 @@ With u = vec(U) (row-major) the objective is the quadratic form
 
 which is convex because rho is positive semidefinite.  It is maximized
 by the generalized power method (Journee, Nesterov, Richtarik &
-Sepulchre, JMLR 11, 517 (2010)): U <- polar(mat(rho u)), monotone with
-no step size.  Restarts run batched and the best objective over
-restarts is a certified *lower* bound (it is attained by an explicit
-state).  The matching upper bound is lambda_max(rho), which dominates
+Sepulchre, JMLR 11, 517 (2010)) with the spectral shift of the power
+method (Golub & Van Loan, Matrix Computations, Sec. 7.3):
+U <- polar(mat((rho - mu I) u)), mu = lambda_min(rho), monotone with no
+step size.  Restarts run batched and the best objective over restarts
+is a certified *lower* bound (it is attained by an explicit state).
+The matching upper bound is lambda_max(rho), which dominates
 <Psi|rho|Psi> for every unit vector |Psi>.
 
 For states diagonal in a maximally entangled basis no search is needed:
@@ -62,6 +64,9 @@ class FefBounds:
 
     ``lower`` is the overlap achieved by the explicit state
     (best_unitary (x) I)|Phi>; it is recomputable from ``best_unitary``.
+    ``upper`` is max(lambda_max(rho), lower): both are upper bounds on
+    F, and taking the larger keeps ``gap`` >= 0 when rounding puts the
+    attained overlap a few ulps above the computed eigenvalue.
     ``restarts_used`` and ``iterations_total`` are 0 where F is exact
     (N = 2).
     """
@@ -111,16 +116,20 @@ def _polar(batch: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
-def _ascend(rho_entries, n, starts, max_iters, step_tol):
+def _ascend(rho_entries, n, starts, max_iters, step_tol, shift):
     """Batched generalized power method over the unitary group.
 
     Each iteration replaces every active restart's U by V, the polar
-    factor of mat(rho u).  Because f is convex it lies above its tangent
-    plane, f(v) >= f(u) + 2 Re<rho u, v - u> / N, and V maximizes
-    Re<rho u, v> over all unitaries, U included, so the step never
-    lowers f and needs no step size (Journee, Nesterov, Richtarik &
-    Sepulchre, JMLR 11, 517 (2010)).  A candidate is accepted when the
-    objective does not drop, so each restart's objective sequence is
+    factor of mat((rho - shift I) u).  With shift = lambda_min(rho) the
+    shifted matrix is still positive semidefinite, so f - shift is
+    convex and lies above its tangent plane, and V maximizes the linear
+    term over all unitaries, U included: the step never lowers f and
+    needs no step size.  On unitaries |u|^2 = N, so the shift lowers f by
+    exactly the constant ``shift`` and leaves maximizers and stationary
+    points alone; it only removes the shift U that the flat part of rho
+    adds to every step direction, which stalls the unshifted step on
+    nearly maximally mixed states.  A candidate is accepted when the
+    unshifted f does not drop, so each restart's objective sequence is
     non-decreasing even under rounding.  A restart stops once its gain is
     below ``step_tol`` or not positive; by the same inequality a zero
     gain means U itself maximizes the linear term, the fixed-point
@@ -143,7 +152,7 @@ def _ascend(rho_entries, n, starts, max_iters, step_tol):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        cand_u = _polar(ru[idx].reshape(-1, n, n))
+        cand_u = _polar((ru[idx] - shift * us[idx]).reshape(-1, n, n))
         cand_us = cand_u.reshape(-1, n * n)
         cand_ru = cand_us @ rho_t
         cand_f = (cand_us.conj() * cand_ru).sum(axis=1).real / n
@@ -160,35 +169,15 @@ def _ascend(rho_entries, n, starts, max_iters, step_tol):
     return units, f, iterations, last_delta
 
 
-_SPECTRAL_SALT = 0x5FEC7A1
-_EXACT_EIG_MAX_DIM = 1024
-
-
-def _spectral_start(entries: np.ndarray, n: int, seed: int) -> np.ndarray:
+def _spectral_start(top_vector: np.ndarray, n: int) -> np.ndarray:
     """Deterministic warm start: polar factor of the matricized dominant
     eigenvector of rho.
 
     For states diagonal in a maximally entangled basis (and for pure
     states) this IS the optimizing unitary, which rescues convergence
-    when the top weights are nearly tied and the power step crawls.  Small
-    dimensions use the exact eigenvector; above 1024 seeded power
-    iteration keeps the start cheap (the large-N uses are well-gapped).
+    when the top weights are nearly tied and the power step crawls.
     """
-    d = n * n
-    if d <= _EXACT_EIG_MAX_DIM:
-        _, vecs = np.linalg.eigh(entries)
-        v = vecs[:, -1]
-    else:
-        rng = np.random.default_rng((seed ^ _SPECTRAL_SALT) & _SEED_MASK)
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        for _ in range(60):
-            v = entries @ v
-            norm = np.linalg.norm(v)
-            if norm < 1e-300:
-                return np.eye(n, dtype=np.complex128)
-            v /= norm
-    return _polar(v.reshape(1, n, n))[0]
+    return _polar(top_vector.reshape(1, n, n))[0]
 
 
 # Columns: the magic basis (|00>+|11>, i(|00>-|11>), i(|01>+|10>),
@@ -221,29 +210,33 @@ def fef_certified(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Fef
     """Lower and upper bound together with the optimizing unitary.
 
     At N = 2 F is exact, so lower = upper with no restarts and no
-    iterations.  For N >= 3 the spectral warm start plus all seeded
-    restarts ascend, ``lower`` is the best objective, ``upper`` is
-    lambda_max(rho), and ``converged`` says whether the gap is within
-    ``GAP_TOL`` or the winning restart's last gain fell below
+    iterations.  For N >= 3 one eigendecomposition of rho gives the
+    spectral warm start (top eigenvector), the shift lambda_min and the
+    upper bound lambda_max; the warm start plus all seeded restarts
+    ascend, ``lower`` is the best objective, ``upper`` is
+    max(lambda_max, lower), and ``converged`` says whether the gap is
+    within ``GAP_TOL`` or the winning restart's last gain fell below
     ``step_tol``.
     """
     cfg = cfg if cfg is not None else OptimizerConfig()
     if rho.n == 2:
         lower, best_u = _two_qubit_exact(rho.entries)
         return FefBounds(lower, lower, best_u, 0, 0, True)
+    spectrum = spectral_decomposition(rho.entries)
     starts = np.stack(
-        [_spectral_start(rho.entries, rho.n, cfg.seed)]
+        [_spectral_start(spectrum.eigenvectors[:, 0], rho.n)]
         + [
             haar_unitary(rho.n, (cfg.seed ^ r) & _SEED_MASK)
             for r in range(cfg.restarts)
         ]
     )
+    top, shift = float(spectrum.eigenvalues[0]), float(spectrum.eigenvalues[-1])
     units, f, iterations, last_delta = _ascend(
-        rho.entries, rho.n, starts, cfg.max_iters, cfg.step_tol
+        rho.entries, rho.n, starts, cfg.max_iters, cfg.step_tol, shift
     )
     best = int(np.argmax(f))
     lower = float(f[best])
-    upper = fef_upper_bound(rho)
+    upper = max(top, lower)
     return FefBounds(
         lower=lower,
         upper=upper,

@@ -176,6 +176,15 @@ class TestStateCommands:
         unitary = np.asarray(payload["best_unitary"])
         assert unitary.shape == (2, 2, 2)
 
+    def test_fef_gap_not_negative(self, tmp_path, capsys):
+        # Werner N = 8: the attained overlap rounds above lambda_max
+        path = tmp_path / "werner8.json"
+        qt.save_state(qt.werner(qt.WernerParams(8, 0.5)), path)
+        assert main(["fef", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["gap"] == 0.0
+        assert payload["lower"] <= payload["upper"]
+
     def test_teleport_exact_only(self, werner_file, capsys):
         assert main(["teleport", werner_file, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -10,6 +10,10 @@ from qthresh.fef import _ascend, _spectral_start
 from oracles import fef_bruteforce_n2, fef_objective
 
 
+def top_vector(rho):
+    return np.linalg.eigh(rho.entries)[1][:, -1]
+
+
 def schmidt_state(n, coeffs):
     amps = np.zeros(n * n, dtype=complex)
     for i, c in enumerate(coeffs):
@@ -171,21 +175,28 @@ class TestCertified:
         np.testing.assert_array_equal(a.best_unitary, b.best_unitary)
 
     def test_monotone_ascent_history(self):
-        rho = qt.hs_random_density(4, 4, seed=33)
-        starts = np.stack(
-            [_spectral_start(rho.entries, 2, 0)]
-            + [qt.haar_unitary(2, seed=r) for r in range(4)]
-        )
-        # replaying with max_iters = 0 .. K gives each restart's objective
-        # after every iteration, K being the most any restart ran
-        iterations = _ascend(rho.entries, 2, starts, 500, 1e-10)[2]
-        history = np.stack(
-            [
-                _ascend(rho.entries, 2, starts, k, 1e-10)[1]
-                for k in range(int(iterations.max()) + 1)
-            ]
-        )
-        assert np.diff(history, axis=0).min() >= -1e-12
+        # the unshifted step on an HS state and the shifted step (mu =
+        # lambda_min, as fef_certified runs it) on a nearly mixed state
+        for rho, shifted in (
+            (qt.hs_random_density(4, 4, seed=33), False),
+            (qt.high_entropy_density(3, 0.9, seed=33), True),
+        ):
+            n = rho.n
+            shift = float(np.linalg.eigvalsh(rho.entries)[0]) if shifted else 0.0
+            starts = np.stack(
+                [_spectral_start(top_vector(rho), n)]
+                + [qt.haar_unitary(n, seed=r) for r in range(4)]
+            )
+            # replaying with max_iters = 0 .. K gives each restart's
+            # objective after every iteration, K being the most any ran
+            iterations = _ascend(rho.entries, n, starts, 500, 1e-10, shift)[2]
+            history = np.stack(
+                [
+                    _ascend(rho.entries, n, starts, k, 1e-10, shift)[1]
+                    for k in range(int(iterations.max()) + 1)
+                ]
+            )
+            assert np.diff(history, axis=0).min() >= -1e-12
 
     def test_best_unitary_is_unitary(self):
         rho = qt.hs_random_density(9, 9, seed=5)
@@ -195,7 +206,7 @@ class TestCertified:
 
     def test_converged_follows_winning_restart(self, monkeypatch):
         # the winning restart (index 0) is still moving; the last one stopped
-        def fake_ascend(rho_entries, n, starts, max_iters, step_tol):
+        def fake_ascend(rho_entries, n, starts, max_iters, step_tol, shift):
             b = starts.shape[0]
             f = np.linspace(0.01, 0.0, b)
             last_delta = np.zeros(b)
@@ -222,8 +233,8 @@ class TestTwoQubitExact:
         haar = [qt.haar_unitary(2, seed=r) for r in range(16)]
         for seed in range(200):
             rho = qt.hs_random_density(4, 4, seed=1000 + seed)
-            starts = np.stack([_spectral_start(rho.entries, 2, 0)] + haar)
-            _, f, _, _ = _ascend(rho.entries, 2, starts, 500, 1e-10)
+            starts = np.stack([_spectral_start(top_vector(rho), 2)] + haar)
+            _, f, _, _ = _ascend(rho.entries, 2, starts, 500, 1e-10, 0.0)
             ascent = float(f.max())
             exact = qt.fef_certified(rho).lower
             assert exact >= ascent - 1e-12
@@ -313,7 +324,7 @@ class TestPowerStep:
         monkeypatch.setattr(fef, "_polar", counting_polar)
         rho = qt.hs_random_density(9, 9, seed=2)
         starts = np.stack([qt.haar_unitary(3, seed=r) for r in range(5)])
-        iterations = _ascend(rho.entries, 3, starts, 500, 1e-10)[2]
+        iterations = _ascend(rho.entries, 3, starts, 500, 1e-10, 0.0)[2]
         assert len(calls) == int(iterations.max())
         assert sum(calls) == int(iterations.sum())
 
@@ -348,6 +359,60 @@ class TestPowerStep:
             assert abs(
                 qt.fef_certified(rotated).lower - qt.fef_certified(rho).lower
             ) <= 1e-9
+
+
+class TestSpectralShift:
+    """The lambda_min-shifted step and the bounds from one eigendecomposition."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_lower_never_exceeds_upper(self, n):
+        # the attained overlap of these states rounds a few ulps above the
+        # computed lambda_max; the bound pair must still be ordered exactly
+        states = [qt.werner(qt.WernerParams(n, eps)) for eps in (0.1, 0.5, 0.9)]
+        states.append(qt.extremal_threshold_state(n))
+        for rho in states:
+            for seed in range(10):
+                bounds = qt.fef_certified(rho, qt.OptimizerConfig(seed=seed))
+                assert bounds.lower <= bounds.upper
+                assert bounds.gap >= 0.0
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_mixing_toward_identity_is_affine_and_no_slower(self, n):
+        # F((1 - t) rho + t I/N^2) = (1 - t) F(rho) + t/N^2, and the shifted
+        # step on the mixture is the same step scaled by 1 - t
+        d = n * n
+        for seed in range(10):
+            rho = qt.hs_random_density(d, d, seed=seed)
+            base = qt.fef_certified(rho)
+            for t in (0.5, 0.9, 0.99):
+                mixed = qt.DensityMatrix(n, (1 - t) * rho.entries + t * np.eye(d) / d)
+                bounds = qt.fef_certified(mixed)
+                assert abs(bounds.lower - ((1 - t) * base.lower + t / d)) <= 1e-8
+                assert bounds.iterations_total <= base.iterations_total
+
+    def test_high_entropy_iterations(self):
+        # measured: about 700 per state with the shift, 3,600 without it
+        spec = qt.SamplerSpec("high_entropy", 9, seed=7, mix_toward_identity=0.9)
+        totals = [
+            qt.fef_certified(qt.sample(spec, i)).iterations_total for i in range(40)
+        ]
+        assert np.mean(totals) <= 1200
+
+    def test_one_eigendecomposition_per_call(self, monkeypatch):
+        states = [qt.hs_random_density(n * n, n * n, seed=n) for n in (3, 4, 5)]
+        states += [qt.werner(qt.WernerParams(3, 0.5)), qt.extremal_threshold_state(4)]
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for rho in states:
+            calls.clear()
+            qt.fef_certified(rho)
+            assert calls == [(rho.n**2, rho.n**2)]
 
 
 class TestTeleportVerdict:
