@@ -70,9 +70,7 @@ from .fef import (
     FefBounds,
     OptimizerConfig,
     TeleportVerdict,
-    fef_bell_diagonal_exact,
     fef_certified,
-    fef_upper_bound,
     usable_for_teleportation,
 )
 from .protocols import (
@@ -90,14 +88,12 @@ from .reports import (
     ThresholdReport,
     VerificationSummary,
     analyze_rho,
-    analyze_state,
     sweep_csv,
     sweep_werner,
     verify_theorem,
 )
 from .sampling import (
     SamplerSpec,
-    haar_pure,
     haar_unitary,
     high_entropy_density,
     hs_random_density,
@@ -111,14 +107,12 @@ from .states import (
     bell_diagonal_coeffs,
     canonical_phi,
     load_state,
-    maximally_mixed,
     partial_trace,
     save_state,
     state_from_dict,
     state_to_dict,
-    tensor,
     validate_density,
     weyl_operator,
 )
 
-__version__ = "0.3.1"
+__version__ = "0.4.0"

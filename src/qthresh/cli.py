@@ -34,7 +34,7 @@ from .protocols import (
     teleportation_avg_fidelity_exact,
     teleportation_avg_fidelity_mc,
 )
-from .reports import analyze_state, sweep_csv, sweep_werner, verify_theorem
+from .reports import analyze_rho, sweep_csv, sweep_werner, verify_theorem
 from .sampling import SamplerSpec
 from .states import load_state
 
@@ -104,7 +104,7 @@ def cmd_thresholds(args) -> dict:
 
 
 def cmd_analyze(args) -> dict:
-    return analyze_state(args.file, _optimizer_config(args)).to_dict()
+    return analyze_rho(load_state(args.file), _optimizer_config(args)).to_dict()
 
 
 def cmd_verify(args) -> dict:

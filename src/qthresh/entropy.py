@@ -92,14 +92,14 @@ def linear_entropy(rho: DensityMatrix) -> float:
 def teleport_threshold_vn(n: int) -> float:
     """Entropy above which an N x N state is useless for teleportation:
     log2 N + (1 - 1/N) log2(N + 1) bits."""
-    _require_local_dim(n)
+    n = _require_local_dim(n)
     return math.log2(n) + (1.0 - 1.0 / n) * math.log2(n + 1)
 
 
 def teleport_threshold_linear(n: int) -> float:
     """Linear-entropy counterpart of the teleportation threshold,
     1 - 2/(N(N+1))."""
-    _require_local_dim(n)
+    n = _require_local_dim(n)
     denom = n * (n + 1)
     # single division keeps exact dyadic values (e.g. 2/3 at N=2) exact
     return (denom - 2) / denom
@@ -107,5 +107,5 @@ def teleport_threshold_linear(n: int) -> float:
 
 def densecoding_threshold(n: int) -> float:
     """Entropy above which dense coding cannot beat log2 N bits."""
-    _require_local_dim(n)
+    n = _require_local_dim(n)
     return math.log2(n)

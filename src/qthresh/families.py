@@ -23,7 +23,7 @@ class WernerParams:
     epsilon: float
 
     def __post_init__(self):
-        _require_local_dim(self.n)
+        object.__setattr__(self, "n", _require_local_dim(self.n))
         if not (0.0 <= self.epsilon <= 1.0):
             raise InvalidParameter(
                 f"epsilon must lie in [0, 1], got {self.epsilon}"
@@ -81,7 +81,7 @@ def bell_diagonal(n: int, weights) -> DensityMatrix:
 def extremal_threshold_weights(n: int) -> np.ndarray:
     """Weight 1/N on the seed state, the rest uniform: the distribution
     whose Shannon entropy equals the teleportation threshold exactly."""
-    _require_local_dim(n)
+    n = _require_local_dim(n)
     d = n * n
     w = np.full(d, (1.0 - 1.0 / n) / (d - 1))
     w[0] = 1.0 / n
@@ -126,7 +126,7 @@ def critical_epsilons(n: int) -> CriticalEpsilons:
     Any eps above 1/N makes F exceed 1/N; the other two are where the
     entropy meets the teleportation and dense-coding thresholds.
     """
-    _require_local_dim(n)
+    n = _require_local_dim(n)
     return CriticalEpsilons(
         eps_fef_above=1.0 / n,
         eps_entropy_at_teleport_threshold=_bisect_entropy(n, teleport_threshold_vn(n)),

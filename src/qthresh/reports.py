@@ -22,16 +22,15 @@ from .errors import DimensionMismatch, InvalidParameter, TheoremViolation
 from .families import WernerParams, critical_epsilons, werner_purity_closed_form, \
     werner_entropy_closed_form, werner_fef_closed_form
 from .fef import (
+    VERDICT_MARGIN,
     OptimizerConfig,
     TeleportVerdict,
     fef_certified,
     usable_for_teleportation,
 )
 from .protocols import densecoding_chi_standard
-from .sampling import DENSITY_KINDS, SamplerSpec, sample
-from .states import DensityMatrix, load_state, state_to_dict
-
-FEF_MARGIN = 1e-7  # guard above 1/N against float noise faking a violation
+from .sampling import SamplerSpec, sample
+from .states import DensityMatrix, _require_local_dim, state_to_dict
 
 
 class EntropyVerdict(str, Enum):
@@ -113,14 +112,9 @@ def analyze_rho(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Thres
     )
 
 
-def analyze_state(path, cfg: OptimizerConfig | None = None) -> ThresholdReport:
-    """Report for a state loaded from the JSON file format."""
-    return analyze_rho(load_state(path), cfg)
-
-
 @dataclass(frozen=True)
 class VerificationSummary:
-    """Cell counts of {S > T, S <= T} x {F_lower >= 1/N + margin, below}."""
+    """Cell counts of {S > T, S <= T} x {F_lower > 1/N + margin, not}."""
 
     n: int
     samples: int
@@ -136,10 +130,6 @@ class VerificationSummary:
     s_below_f_below: int
     violations: int
     contrapositive_violations: int
-
-    @property
-    def count_s_above(self) -> int:
-        return self.s_above_f_above + self.s_above_f_below
 
     def to_dict(self) -> dict:
         return {
@@ -174,14 +164,16 @@ def verify_theorem(
 ) -> VerificationSummary:
     """Sample density matrices and check the entropy threshold theorem.
 
-    A violation is a sample with S above the threshold whose certified
-    F lower bound still clears 1/N + 1e-7.  It aborts with
-    ``TheoremViolation`` carrying the offending state, serialized, and
-    the ``sample(spec, index)`` call and optimizer configuration that
-    replay it.  ``contrapositive_violations`` is always 0: F above the
-    margin with S above the threshold is that same violation.  The
-    sampler must produce density matrices (``DENSITY_KINDS``).
+    A sample counts as F above when ``usable_for_teleportation`` certifies
+    it usable, the rule ``analyze_rho`` raises on: its F lower bound clears
+    1/N + ``VERDICT_MARGIN``.  A violation is a sample with S above the
+    threshold that is also F above.  It aborts with ``TheoremViolation``
+    carrying the offending state, serialized, and the
+    ``sample(spec, index)`` call and optimizer configuration that replay
+    it.  ``contrapositive_violations`` is always 0: F above the margin
+    with S above the threshold is that same violation.
     """
+    n = _require_local_dim(n)
     if samples < 1:
         raise InvalidParameter(f"samples must be >= 1, got {samples}")
     sampler = (
@@ -189,30 +181,26 @@ def verify_theorem(
         if sampler is not None
         else SamplerSpec(kind="hilbert_schmidt", dim=n * n, seed=0)
     )
-    if sampler.kind not in DENSITY_KINDS:
-        raise InvalidParameter(
-            f"sampler kind {sampler.kind!r} does not produce density matrices; "
-            f"use one of {DENSITY_KINDS}"
-        )
     if sampler.dim != n * n:
         raise DimensionMismatch(
             f"sampler dim {sampler.dim} does not match bipartite N={n}"
         )
     cfg = cfg if cfg is not None else OptimizerConfig()
     threshold = teleport_threshold_vn(n)
-    f_critical = 1.0 / n + FEF_MARGIN
-    cells = [0, 0, 0, 0]  # [S>T & F>=, S>T & F<, S<=T & F>=, S<=T & F<]
+    cells = [0, 0, 0, 0]  # [S>T & F>, S>T & F<=, S<=T & F>, S<=T & F<=]
     for index in range(samples):
         rho = sample(sampler, index)
         s = von_neumann_entropy(rho)
-        lower = fef_certified(rho, cfg).lower
+        bounds = fef_certified(rho, cfg)
         s_above = s > threshold
-        f_above = lower >= f_critical
+        f_above = (
+            usable_for_teleportation(bounds, n) is TeleportVerdict.USABLE_CERTIFIED
+        )
         cells[(0 if s_above else 2) + (0 if f_above else 1)] += 1
         if s_above and f_above:
             raise TheoremViolation(
                 f"sample {index}: S = {s:.12f} > {threshold:.12f} with "
-                f"F_lower = {lower:.12f} >= 1/{n} + {FEF_MARGIN}; "
+                f"F_lower = {bounds.lower:.12f} > 1/{n} + {VERDICT_MARGIN}; "
                 f"{_replay(sampler, index, cfg)}; "
                 f"offending state: {json.dumps(state_to_dict(rho))}"
             )
@@ -224,7 +212,7 @@ def verify_theorem(
         optimizer_seed=cfg.seed,
         restarts=cfg.restarts,
         threshold_bits=threshold,
-        fef_margin=FEF_MARGIN,
+        fef_margin=VERDICT_MARGIN,
         s_above_f_above=cells[0],
         s_above_f_below=cells[1],
         s_below_f_above=cells[2],

@@ -1,4 +1,4 @@
-"""Seeded random generation of unitaries, pure states and density matrices.
+"""Seeded random generation of unitaries and bipartite density matrices.
 
 Every direct sampler takes an explicit ``seed`` (anything accepted by
 ``numpy.random.default_rng``: an integer, a SeedSequence, or a
@@ -16,21 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, InvalidParameter, InvalidRank
-from .states import DensityMatrix, PureState, validate_density
+from .states import DensityMatrix, validate_density
 
-DENSITY_KINDS = ("hilbert_schmidt", "rank_limited", "high_entropy")
-ALL_KINDS = ("haar_pure", "haar_unitary") + DENSITY_KINDS
+KINDS = ("hilbert_schmidt", "rank_limited", "high_entropy")
 
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """What to sample and from which stream.
+    """Which density matrices to sample and from which stream.
 
-    ``dim`` is the total Hilbert-space dimension (N^2 for bipartite
-    density matrices).  ``rank`` applies to ``rank_limited`` only and
+    ``kind`` is one of ``KINDS`` and ``dim`` is the total Hilbert-space
+    dimension N^2.  ``rank`` applies to ``rank_limited`` only and
     ``mix_toward_identity`` to ``high_entropy`` only; each is required
-    there.  ``seed`` is a non-negative integer.  Every check runs here,
-    so ``sample`` never rejects a spec.
+    there.  ``seed`` is a non-negative integer, stored as a Python
+    ``int``.  Every check runs here, so ``sample`` never rejects a spec.
     """
 
     kind: str
@@ -40,13 +39,11 @@ class SamplerSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
+        if self.kind not in KINDS:
             raise InvalidParameter(f"unknown sampler kind {self.kind!r}")
-        if self.dim < 2:
-            raise InvalidDimension(f"dim must be >= 2, got {self.dim}")
-        if self.kind in DENSITY_KINDS and math.isqrt(self.dim) ** 2 != self.dim:
+        if self.dim < 4 or math.isqrt(self.dim) ** 2 != self.dim:
             raise InvalidDimension(
-                f"dim must be a perfect square (bipartite N^2), got {self.dim}"
+                f"dim must be a perfect square N^2 with N >= 2, got {self.dim}"
             )
         if self.kind == "rank_limited" and self.rank is None:
             raise InvalidRank("rank_limited sampling requires a rank")
@@ -65,6 +62,7 @@ class SamplerSpec:
                 f"SamplerSpec seed must be an integer, got {type(self.seed).__name__}"
             )
         check_seed(self.seed)
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 def check_seed(seed) -> None:
@@ -92,16 +90,6 @@ def haar_unitary(n: int, seed=0) -> np.ndarray:
     q, r = np.linalg.qr(_ginibre(rng, n, n))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def haar_pure(dim: int, seed=0) -> PureState:
-    """Haar-random pure state: a normalized complex standard-normal vector."""
-    if dim < 2:
-        raise InvalidDimension(f"dim must be >= 2, got {dim}")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    return PureState(dim=dim, amplitudes=v)
 
 
 def hs_random_density(dim: int, rank: int | None = None, seed=0) -> DensityMatrix:
@@ -140,17 +128,13 @@ def high_entropy_density(n: int, mix: float, seed=0) -> DensityMatrix:
     return validate_density(m, n)
 
 
-def sample(spec: SamplerSpec, index: int = 0):
-    """Draw the ``index``-th element of the stream defined by ``spec``.
+def sample(spec: SamplerSpec, index: int = 0) -> DensityMatrix:
+    """Draw the ``index``-th density matrix of the stream defined by ``spec``.
 
     Each index gets its own child stream of ``spec.seed``, so draws are
     independent and the result does not depend on how a batch is split.
     """
     seed = np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,))
-    if spec.kind == "haar_unitary":
-        return haar_unitary(spec.dim, seed)
-    if spec.kind == "haar_pure":
-        return haar_pure(spec.dim, seed)
     if spec.kind == "hilbert_schmidt":
         return hs_random_density(spec.dim, spec.dim, seed)
     if spec.kind == "rank_limited":

@@ -2,9 +2,8 @@
 
 Validated density matrices, canonical maximally entangled states,
 discrete Weyl operators, the orthonormal maximally entangled basis they
-generate, and the tensor / partial-trace plumbing everything else is
-built on.  All matrices are dense complex128 with the first tensor
-factor on the slow (row-major) index.
+generate, and the partial trace.  All matrices are dense complex128
+with the first tensor factor on the slow (row-major) index.
 """
 
 from __future__ import annotations
@@ -34,9 +33,12 @@ PURE_NORM_TOL = 1e-12
 BASIS_TOL = 1e-10
 
 
-def _require_local_dim(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+def _require_local_dim(n) -> int:
+    """Check a local dimension and return it as a Python ``int``, so
+    numpy integers are accepted and never reach a JSON payload."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
         raise InvalidDimension(f"local dimension must be an integer >= 2, got {n!r}")
+    return int(n)
 
 
 def _as_complex(matrix) -> np.ndarray:
@@ -56,7 +58,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        _require_local_dim(self.n)
+        object.__setattr__(self, "n", _require_local_dim(self.n))
         entries = _as_complex(self.entries)
         d = self.n * self.n
         if entries.shape != (d, d):
@@ -117,15 +119,16 @@ class MaxEntangledBasis:
         return out
 
 
-def validate_density(raw, n: int, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Check Hermiticity, unit trace and positivity, returning the state.
+def validate_density(raw, n: int) -> DensityMatrix:
+    """Check Hermiticity, unit trace and positivity, each to
+    ``DEFAULT_TOL``, returning the state.
 
     The stored matrix is the Hermitian part (M + M^dagger)/2, which
     absorbs file-format rounding; anything whose anti-Hermitian part
-    exceeds ``tol`` is rejected rather than silently symmetrized away.
-    The input is not modified.
+    exceeds the tolerance is rejected rather than silently symmetrized
+    away.  The input is not modified.
     """
-    _require_local_dim(n)
+    n = _require_local_dim(n)
     mat = _as_complex(raw)
     d = n * n
     if mat.shape != (d, d):
@@ -135,30 +138,25 @@ def validate_density(raw, n: int, tol: float = DEFAULT_TOL) -> DensityMatrix:
     if not np.isfinite(mat).all():
         raise InvalidParameter("matrix contains NaN or Inf entries")
     herm_dev = float(np.abs(mat - mat.conj().T).max())
-    if herm_dev > tol:
+    if herm_dev > DEFAULT_TOL:
         raise NotHermitian(
-            f"max |M - M^dagger| = {herm_dev:.3e} exceeds tolerance {tol:.1e}"
+            f"max |M - M^dagger| = {herm_dev:.3e} exceeds tolerance {DEFAULT_TOL:.1e}"
         )
     sym = (mat + mat.conj().T) / 2.0
     trace_dev = abs(complex(np.trace(sym)) - 1.0)
-    if trace_dev > tol:
-        raise TraceNotOne(f"|trace - 1| = {trace_dev:.3e} exceeds tolerance {tol:.1e}")
+    if trace_dev > DEFAULT_TOL:
+        raise TraceNotOne(
+            f"|trace - 1| = {trace_dev:.3e} exceeds tolerance {DEFAULT_TOL:.1e}"
+        )
     min_eig = float(np.linalg.eigvalsh(sym)[0])
-    if min_eig < -tol:
-        raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{tol:.1e}")
+    if min_eig < -DEFAULT_TOL:
+        raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{DEFAULT_TOL:.1e}")
     return DensityMatrix(n=n, entries=sym)
-
-
-def maximally_mixed(n: int) -> DensityMatrix:
-    """I / N^2, the flat-spectrum state."""
-    _require_local_dim(n)
-    d = n * n
-    return DensityMatrix(n=n, entries=np.eye(d, dtype=np.complex128) / d)
 
 
 def canonical_phi(n: int) -> PureState:
     """Canonical maximally entangled state (1/sqrt(N)) sum_i |ii>."""
-    _require_local_dim(n)
+    n = _require_local_dim(n)
     amps = np.zeros(n * n, dtype=np.complex128)
     amps[:: n + 1] = 1.0 / math.sqrt(n)
     return PureState(dim=n * n, amplitudes=amps)
@@ -170,7 +168,7 @@ def weyl_operator(n: int, a: int, b: int) -> np.ndarray:
     X shifts the computational basis, X|j> = |j+1 mod N>, and Z applies
     phases Z|j> = omega^j |j> with omega = exp(2 pi i / N).
     """
-    _require_local_dim(n)
+    n = _require_local_dim(n)
     if not (
         isinstance(a, (int, np.integer))
         and isinstance(b, (int, np.integer))
@@ -194,7 +192,7 @@ def bell_basis(n: int, seed_state: PureState | None = None) -> MaxEntangledBasis
     entangled (both reduced states equal to I/N within 1e-10); the
     resulting family is orthonormal for any valid seed.
     """
-    _require_local_dim(n)
+    n = _require_local_dim(n)
     if seed_state is None:
         seed_state = canonical_phi(n)
     if seed_state.dim != n * n:
@@ -267,15 +265,6 @@ def bell_diagonal_coeffs(rho: DensityMatrix, basis: MaxEntangledBasis) -> np.nda
     return c
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with the first factor on the slow index."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionMismatch("tensor expects two matrices")
-    return np.kron(a, b)
-
-
 def partial_trace(rho: DensityMatrix, which: str = "first") -> np.ndarray:
     """Trace out one tensor factor, returning the remaining N x N state."""
     return _ptrace_array(rho.entries, rho.n, which)
@@ -303,7 +292,7 @@ def state_to_dict(rho: DensityMatrix) -> dict:
     return {"n": rho.n, "matrix": matrix}
 
 
-def state_from_dict(payload, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def state_from_dict(payload) -> DensityMatrix:
     if not isinstance(payload, dict) or "n" not in payload or "matrix" not in payload:
         raise ParseError("state payload must be an object with 'n' and 'matrix' keys")
     n = payload["n"]
@@ -317,10 +306,10 @@ def state_from_dict(payload, tol: float = DEFAULT_TOL) -> DensityMatrix:
         raise ParseError("'matrix' entries must be two-element [re, im] arrays")
     if not np.isfinite(arr).all():
         raise ParseError("'matrix' contains NaN or Inf")
-    return validate_density(arr[..., 0] + 1j * arr[..., 1], n, tol=tol)
+    return validate_density(arr[..., 0] + 1j * arr[..., 1], n)
 
 
-def load_state(path, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def load_state(path) -> DensityMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -328,7 +317,7 @@ def load_state(path, tol: float = DEFAULT_TOL) -> DensityMatrix:
         raise ParseError(f"cannot read state file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return state_from_dict(payload, tol=tol)
+    return state_from_dict(payload)
 
 
 def save_state(rho: DensityMatrix, path) -> None:

@@ -13,8 +13,10 @@ The remaining references compute directly what the package computes in
 closed form: the overlap of one explicit maximally entangled state, the
 materialized dense-coding ensemble with its Holevo quantity, the first-
 factor rotation that links the optimizer's witness to the teleportation
-fidelity, and the Shannon entropy of the weights in a maximally
-entangled basis.
+fidelity, the Shannon entropy of the weights in a maximally entangled
+basis, and the exact singlet fraction of a basis-diagonal state.  The
+small constructors at the end (the maximally mixed state, Kronecker
+products, Haar-random pure inputs) build test inputs.
 """
 
 from dataclasses import dataclass
@@ -22,13 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from qthresh.entropy import shannon_bits, von_neumann_entropy
-from qthresh.errors import DimensionMismatch, InvalidParameter
+from qthresh.errors import DimensionMismatch, InvalidParameter, NotProbabilityVector
 from qthresh.states import (
     DensityMatrix,
     MaxEntangledBasis,
     PureState,
     bell_diagonal_coeffs,
-    tensor,
     weyl_operator,
 )
 
@@ -198,3 +199,40 @@ def densecoding_holevo(ensemble: DenseCodingEnsemble) -> float:
         signal_entropy += p * von_neumann_entropy(sig)
     avg_entropy = von_neumann_entropy(DensityMatrix(n=ensemble.n, entries=avg))
     return avg_entropy - signal_entropy
+
+
+def fef_bell_diagonal_exact(coeffs) -> tuple[float, int]:
+    """Exact F for a state diagonal in a maximally entangled basis: the
+    largest weight and its index, ties broken toward the lowest index."""
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim != 1:
+        raise NotProbabilityVector(f"expected a vector, got shape {c.shape}")
+    if float(c.min()) < -1e-9:
+        raise NotProbabilityVector(f"negative weight {c.min():.3e}")
+    if abs(float(c.sum()) - 1.0) > 1e-9:
+        raise NotProbabilityVector(f"weights sum to {c.sum():.12f}, not 1")
+    k = int(np.argmax(c))
+    return float(c[k]), k
+
+
+def maximally_mixed(n: int) -> DensityMatrix:
+    """I / N^2, the flat-spectrum state."""
+    d = n * n
+    return DensityMatrix(n=n, entries=np.eye(d, dtype=np.complex128) / d)
+
+
+def tensor(a, b) -> np.ndarray:
+    """Kronecker product of two matrices, first factor on the slow index."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionMismatch("tensor expects two matrices")
+    return np.kron(a, b)
+
+
+def haar_pure(dim: int, seed=0) -> PureState:
+    """Haar-random pure state: a normalized complex standard-normal vector."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    return PureState(dim=dim, amplitudes=v)

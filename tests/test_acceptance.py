@@ -15,7 +15,9 @@ import qthresh as qt
 from oracles import (
     densecoding_ensemble,
     densecoding_holevo,
+    fef_bell_diagonal_exact,
     fef_bruteforce_n2,
+    maximally_mixed,
     shannon_entropy_in_basis,
 )
 
@@ -48,7 +50,7 @@ def test_criterion_2_extremal_saturation():
     for n in range(2, 7):
         rho = qt.extremal_threshold_state(n)
         assert abs(qt.von_neumann_entropy(rho) - qt.teleport_threshold_vn(n)) <= 1e-9
-        value, index = qt.fef_bell_diagonal_exact(qt.extremal_threshold_weights(n))
+        value, index = fef_bell_diagonal_exact(qt.extremal_threshold_weights(n))
         assert value == 1.0 / n and index == 0
         assert abs(qt.linear_entropy(rho) - qt.teleport_threshold_linear(n)) <= 1e-12
     _announce(2, "extremal states saturate S, F and S_L thresholds for N=2..6")
@@ -143,8 +145,8 @@ def test_criterion_7_teleportation_operational():
     resources = [
         ("phi n=2", qt.DensityMatrix(2, qt.canonical_phi(2).projector())),
         ("phi n=3", qt.DensityMatrix(3, qt.canonical_phi(3).projector())),
-        ("mm n=2", qt.maximally_mixed(2)),
-        ("mm n=3", qt.maximally_mixed(3)),
+        ("mm n=2", maximally_mixed(2)),
+        ("mm n=3", maximally_mixed(3)),
         ("W_2(0.5)", qt.werner(qt.WernerParams(2, 0.5))),
         ("W_3(0.4)", qt.werner(qt.WernerParams(3, 0.4))),
     ]
@@ -158,8 +160,8 @@ def test_criterion_7_teleportation_operational():
         if label.startswith("phi"):
             assert abs(result.f_avg_mc - 1.0) <= 1e-10
             assert abs(result.f_avg_exact - 1.0) <= 1e-12
-    for rho in (qt.maximally_mixed(2), qt.maximally_mixed(3)):
-        assert qt.fef_upper_bound(rho) < 1.0 / rho.n
+    for rho in (maximally_mixed(2), maximally_mixed(3)):
+        assert qt.fef_certified(rho).upper < 1.0 / rho.n
         exact = qt.teleportation_avg_fidelity_exact(rho)
         assert exact.f_avg_exact < qt.classical_fidelity(rho.n) + 1e-9
     _announce(7, "MC fidelity matches (N f_phi + 1)/(N+1) on 10 resources")

@@ -1,9 +1,15 @@
 """The public API of ``qthresh`` is this explicit list; a name added to or
-removed from the package namespace fails here until the list is updated."""
+removed from the package namespace fails here until the list is updated.
+The options are pinned the same way: the fields of ``OptimizerConfig``
+and the sampler kinds of ``SamplerSpec``."""
 
+import dataclasses
 import types
 
+import pytest
+
 import qthresh as qt
+from qthresh.sampling import KINDS
 
 PUBLIC_NAMES = [
     "CriticalEpsilons",
@@ -38,7 +44,6 @@ PUBLIC_NAMES = [
     "VerificationSummary",
     "WernerParams",
     "analyze_rho",
-    "analyze_state",
     "bell_basis",
     "bell_diagonal",
     "bell_diagonal_coeffs",
@@ -50,17 +55,13 @@ PUBLIC_NAMES = [
     "densecoding_useful",
     "extremal_threshold_state",
     "extremal_threshold_weights",
-    "fef_bell_diagonal_exact",
     "fef_certified",
-    "fef_upper_bound",
-    "haar_pure",
     "haar_unitary",
     "hermitian_entropy_bits",
     "high_entropy_density",
     "hs_random_density",
     "linear_entropy",
     "load_state",
-    "maximally_mixed",
     "partial_trace",
     "sample",
     "save_state",
@@ -74,7 +75,6 @@ PUBLIC_NAMES = [
     "teleport_threshold_vn",
     "teleportation_avg_fidelity_exact",
     "teleportation_avg_fidelity_mc",
-    "tensor",
     "usable_for_teleportation",
     "validate_density",
     "verify_theorem",
@@ -96,3 +96,18 @@ def test_public_names_are_the_listed_ones():
         and not isinstance(getattr(qt, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_optimizer_options_are_the_listed_ones():
+    fields = [f.name for f in dataclasses.fields(qt.OptimizerConfig)]
+    assert fields == ["restarts", "seed"]
+
+
+def test_sampler_kinds_are_the_listed_ones():
+    assert KINDS == ("hilbert_schmidt", "rank_limited", "high_entropy")
+
+
+@pytest.mark.parametrize("kind", ["haar_pure", "haar_unitary"])
+def test_sampler_spec_rejects_non_density_kinds(kind):
+    with pytest.raises(qt.InvalidParameter, match="unknown sampler kind"):
+        qt.SamplerSpec(kind=kind, dim=4, seed=0)

@@ -7,6 +7,8 @@ import qthresh as qt
 from qthresh.cli import main
 from qthresh.errors import TheoremViolation
 
+from oracles import maximally_mixed
+
 
 @pytest.fixture
 def werner_file(tmp_path):
@@ -21,7 +23,7 @@ class TestExitCodes:
 
     def test_invalid_state_is_input_error(self, tmp_path):
         path = tmp_path / "bad.json"
-        payload = qt.state_to_dict(qt.maximally_mixed(2))
+        payload = qt.state_to_dict(maximally_mixed(2))
         payload["matrix"][0][0] = [0.9, 0.0]  # trace becomes 1.65
         path.write_text(json.dumps(payload))
         assert main(["analyze", str(path)]) == 2
@@ -47,10 +49,10 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: seed must be >= 0")
 
     def test_theorem_violation_maps_to_3(self, monkeypatch, werner_file):
-        def boom(path, cfg):
+        def boom(rho, cfg):
             raise TheoremViolation("synthetic")
 
-        monkeypatch.setattr("qthresh.cli.analyze_state", boom)
+        monkeypatch.setattr("qthresh.cli.analyze_rho", boom)
         assert main(["analyze", werner_file]) == 3
 
 
@@ -121,7 +123,7 @@ class TestPlainTables:
         rows = self.rows(capsys, ["verify", "--n", "2", "--samples", "25", "--seed", "7"])
         assert rows["n"] == "2"
         assert rows["sampler_kind"] == "hilbert_schmidt"
-        assert rows["fef_margin"] == "1.000e-07"
+        assert rows["fef_margin"] == "1.000e-09"
         cells = [int(rows[k]) for k in rows if k.startswith("cells.")]
         assert len(cells) == 4 and sum(cells) == 25
 

@@ -4,7 +4,7 @@ import pytest
 import qthresh as qt
 from qthresh.errors import InvalidDimension
 
-from oracles import shannon_entropy_in_basis
+from oracles import maximally_mixed, shannon_entropy_in_basis
 
 # hand evaluation: W_2(1/2) has spectrum (0.625, 0.125 x3),
 # S = -0.625 log2 0.625 - 3 * 0.125 log2 0.125 = 1.548794941...
@@ -13,7 +13,7 @@ W2_HALF_ENTROPY = 1.5487949406953985
 
 class TestVonNeumannEntropy:
     def test_maximally_mixed(self):
-        assert qt.von_neumann_entropy(qt.maximally_mixed(2)) == pytest.approx(
+        assert qt.von_neumann_entropy(maximally_mixed(2)) == pytest.approx(
             2.0, abs=1e-12
         )
 
@@ -43,7 +43,7 @@ class TestVonNeumannEntropy:
 
 class TestShannonInBasis:
     def test_maximally_mixed(self):
-        val = shannon_entropy_in_basis(qt.maximally_mixed(2), qt.bell_basis(2))
+        val = shannon_entropy_in_basis(maximally_mixed(2), qt.bell_basis(2))
         assert val == pytest.approx(2.0, abs=1e-12)
 
     def test_phi(self):
@@ -66,7 +66,7 @@ class TestLinearEntropy:
         assert qt.linear_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert qt.linear_entropy(qt.maximally_mixed(2)) == pytest.approx(
+        assert qt.linear_entropy(maximally_mixed(2)) == pytest.approx(
             0.75, abs=1e-12
         )
 

@@ -4,6 +4,8 @@ import pytest
 import qthresh as qt
 from qthresh.errors import InvalidDimension, InvalidParameter, NotProbabilityVector
 
+from oracles import fef_bell_diagonal_exact
+
 
 class TestWernerConstruction:
     def test_eps_one_is_phi_projector(self):
@@ -130,10 +132,19 @@ class TestExtremalState:
         assert abs(
             qt.linear_entropy(rho) - qt.teleport_threshold_linear(n)
         ) <= 1e-12
-        value, _ = qt.fef_bell_diagonal_exact(qt.extremal_threshold_weights(n))
+        value, _ = fef_bell_diagonal_exact(qt.extremal_threshold_weights(n))
         assert value == 1.0 / n
 
-    @pytest.mark.parametrize("n", [1, 3.0, True])
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1,
+            3.0,
+            True,
+            pytest.param(np.float64(3.0), id="np_float64"),
+            pytest.param(np.True_, id="np_bool"),
+        ],
+    )
     def test_rejects_bad_dimension(self, n):
         with pytest.raises(InvalidDimension):
             qt.extremal_threshold_weights(n)

@@ -8,12 +8,14 @@ import qthresh as qt
 from qthresh.errors import DimensionMismatch, InvalidParameter, TheoremViolation
 from qthresh.reports import CSV_HEADER
 
+from oracles import maximally_mixed
+
 
 class TestAnalyze:
     def test_maximally_mixed_report(self, tmp_path):
         path = tmp_path / "mm.json"
-        qt.save_state(qt.maximally_mixed(2), path)
-        report = qt.analyze_state(path)
+        qt.save_state(maximally_mixed(2), path)
+        report = qt.analyze_rho(qt.load_state(path))
         assert report.s_vn == pytest.approx(2.0, abs=1e-9)
         assert report.entropy_verdict_teleport is qt.EntropyVerdict.ABOVE
         assert report.fef_upper == pytest.approx(0.25, abs=1e-9)
@@ -22,7 +24,7 @@ class TestAnalyze:
     def test_phi_report(self, tmp_path):
         path = tmp_path / "phi.json"
         qt.save_state(qt.DensityMatrix(2, qt.canonical_phi(2).projector()), path)
-        report = qt.analyze_state(path)
+        report = qt.analyze_rho(qt.load_state(path))
         assert report.s_vn == pytest.approx(0.0, abs=1e-9)
         assert report.entropy_verdict_teleport is qt.EntropyVerdict.BELOW
         assert report.teleport_verdict is qt.TeleportVerdict.USABLE_CERTIFIED
@@ -31,7 +33,7 @@ class TestAnalyze:
     def test_extremal_report(self, tmp_path):
         path = tmp_path / "extremal.json"
         qt.save_state(qt.extremal_threshold_state(2), path)
-        report = qt.analyze_state(path)
+        report = qt.analyze_rho(qt.load_state(path))
         assert report.s_vn == pytest.approx(1.7924813, abs=1e-6)
         assert report.teleport_verdict is qt.TeleportVerdict.UNDECIDED
 
@@ -78,7 +80,7 @@ class TestVerifyTheorem:
             ),
         )
         assert summary.violations == 0
-        assert summary.count_s_above >= 45
+        assert summary.s_above_f_above + summary.s_above_f_below >= 45
 
     def test_sampler_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
@@ -90,10 +92,33 @@ class TestVerifyTheorem:
         with pytest.raises(InvalidParameter):
             qt.verify_theorem(2, 0)
 
-    @pytest.mark.parametrize("kind", ["haar_pure", "haar_unitary"])
-    def test_rejects_non_density_samplers(self, kind):
-        with pytest.raises(InvalidParameter, match="density matrices"):
-            qt.verify_theorem(2, 10, qt.SamplerSpec(kind=kind, dim=4, seed=0))
+    @pytest.mark.parametrize(
+        "excess, raises", [(5e-8, True), (5e-10, False)], ids=["above", "inside"]
+    )
+    def test_verify_and_analyze_share_the_margin(self, monkeypatch, excess, raises):
+        # F_lower = 1/N + excess on a state above the entropy threshold: both
+        # entry points must call it a violation exactly when it clears the
+        # verdict margin
+        def fake_certified(rho, cfg):
+            lower = 1.0 / rho.n + excess
+            return qt.FefBounds(lower, lower, np.eye(rho.n), 0, 0, True)
+
+        monkeypatch.setattr("qthresh.reports.fef_certified", fake_certified)
+        spec = qt.SamplerSpec(
+            kind="high_entropy", dim=4, mix_toward_identity=0.9, seed=7
+        )
+        rho = qt.sample(spec, 0)
+        assert qt.von_neumann_entropy(rho) > qt.teleport_threshold_vn(2)
+        if raises:
+            with pytest.raises(TheoremViolation):
+                qt.analyze_rho(rho)
+            with pytest.raises(TheoremViolation):
+                qt.verify_theorem(2, 1, spec)
+        else:
+            report = qt.analyze_rho(rho)
+            assert report.teleport_verdict is qt.TeleportVerdict.UNDECIDED
+            summary = qt.verify_theorem(2, 1, spec)
+            assert summary.s_above_f_below == 1 and summary.violations == 0
 
     def test_violation_message_replays_the_sample(self, monkeypatch):
         def fake_certified(rho, cfg):
@@ -111,7 +136,7 @@ class TestVerifyTheorem:
         assert (
             "replay: sample(SamplerSpec(kind='high_entropy', dim=4, rank=None, "
             f"mix_toward_identity=0.9, seed=7), {index}) under OptimizerConfig("
-            "restarts=3, max_iters=500, step_tol=1e-10, seed=42)"
+            "restarts=3, seed=42)"
         ) in message
         state = json.loads(message.split("offending state: ", 1)[1])
         assert state == qt.state_to_dict(qt.sample(spec, index))

@@ -10,8 +10,11 @@ from oracles import (
     _channel_transfer_matrix,
     densecoding_ensemble,
     densecoding_holevo,
+    haar_pure,
+    maximally_mixed,
     rotate_first_factor,
     teleportation_channel_apply,
+    tensor,
 )
 from qthresh.protocols import _MC_CHUNK_ENTRIES, _fold_weights, _weyl_fidelities
 
@@ -25,13 +28,13 @@ class TestTeleportationChannel:
     def test_perfect_resource(self, n):
         resource = phi_projector_state(n)
         for seed in range(4):
-            psi = qt.haar_pure(n, seed=seed)
+            psi = haar_pure(n, seed=seed)
             out = teleportation_channel_apply(resource, psi)
             assert np.abs(out - psi.projector()).max() < 1e-10
 
     def test_maximally_mixed_resource_depolarizes(self):
         ket0 = qt.PureState(2, np.array([1, 0], dtype=complex))
-        out = teleportation_channel_apply(qt.maximally_mixed(2), ket0)
+        out = teleportation_channel_apply(maximally_mixed(2), ket0)
         assert np.abs(out - np.eye(2) / 2).max() < 1e-10
 
     def test_werner_resource_acts_depolarizing(self):
@@ -44,7 +47,7 @@ class TestTeleportationChannel:
         for n in (2, 3):
             for i in range(50):
                 resource = qt.hs_random_density(n * n, n * n, seed=1000 + i)
-                psi = qt.haar_pure(n, seed=2000 + i)
+                psi = haar_pure(n, seed=2000 + i)
                 out = teleportation_channel_apply(resource, psi)
                 assert abs(float(np.trace(out).real) - 1.0) < 1e-9
                 assert np.abs(out - out.conj().T).max() < 1e-9
@@ -52,13 +55,13 @@ class TestTeleportationChannel:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             teleportation_channel_apply(
-                qt.maximally_mixed(3), qt.haar_pure(2, seed=0)
+                maximally_mixed(3), haar_pure(2, seed=0)
             )
 
     def test_transfer_matrix_matches_direct_application(self):
         resource = qt.hs_random_density(4, 4, seed=17)
         transfer = _channel_transfer_matrix(resource)
-        psi = qt.haar_pure(2, seed=18)
+        psi = haar_pure(2, seed=18)
         direct = teleportation_channel_apply(resource, psi)
         via_matrix = (transfer @ psi.projector().reshape(-1)).reshape(2, 2)
         assert np.abs(direct - via_matrix).max() < 1e-12
@@ -71,7 +74,7 @@ class TestAverageFidelity:
         assert result.f_avg_exact == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        result = qt.teleportation_avg_fidelity_exact(qt.maximally_mixed(2))
+        result = qt.teleportation_avg_fidelity_exact(maximally_mixed(2))
         assert result.f_avg_exact == pytest.approx(0.5, abs=1e-12)
 
     def test_werner_half(self):
@@ -88,8 +91,8 @@ class TestAverageFidelity:
 
     def test_certified_useless_resource_below_classical(self):
         for n in (2, 3):
-            rho = qt.maximally_mixed(n)
-            assert qt.fef_upper_bound(rho) < 1.0 / n
+            rho = maximally_mixed(n)
+            assert qt.fef_certified(rho).upper < 1.0 / n
             result = qt.teleportation_avg_fidelity_exact(rho)
             assert result.f_avg_exact < qt.classical_fidelity(n) + 1e-9
 
@@ -100,7 +103,7 @@ class TestMonteCarloFidelity:
         assert result.f_avg_mc == pytest.approx(1.0, abs=1e-10)
 
     def test_maximally_mixed_within_4_sigma(self):
-        result = qt.teleportation_avg_fidelity_mc(qt.maximally_mixed(2), 10_000, seed=2)
+        result = qt.teleportation_avg_fidelity_mc(maximally_mixed(2), 10_000, seed=2)
         assert abs(result.f_avg_mc - 0.5) <= 4 * result.mc_std_error + 1e-12
 
     def test_werner3_matches_formula(self):
@@ -127,7 +130,7 @@ class TestMonteCarloFidelity:
 
     def test_rejects_tiny_sample_counts(self):
         with pytest.raises(InvalidParameter):
-            qt.teleportation_avg_fidelity_mc(qt.maximally_mixed(2), 50)
+            qt.teleportation_avg_fidelity_mc(maximally_mixed(2), 50)
 
 
 def weyl_test_resources(n):
@@ -232,7 +235,7 @@ class TestRotationRecipe:
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionMismatch):
-            rotate_first_factor(qt.maximally_mixed(2), np.eye(3))
+            rotate_first_factor(maximally_mixed(2), np.eye(3))
 
 
 class TestDenseCodingEnsemble:
@@ -250,7 +253,7 @@ class TestDenseCodingEnsemble:
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
 
     def test_maximally_mixed_signals_identical(self):
-        ensemble = densecoding_ensemble(qt.maximally_mixed(2))
+        ensemble = densecoding_ensemble(maximally_mixed(2))
         for sig in ensemble.signal_states:
             np.testing.assert_allclose(sig.entries, np.eye(4) / 4, atol=1e-12)
 
@@ -267,7 +270,7 @@ class TestDenseCodingEnsemble:
                 qt.partial_trace(avg_state, "second"), np.eye(2) / 2, atol=1e-10
             )
             # the twirl leaves exactly I/N (x) Tr_first(rho)
-            expected = qt.tensor(np.eye(2) / 2, qt.partial_trace(rho, "first"))
+            expected = tensor(np.eye(2) / 2, qt.partial_trace(rho, "first"))
             np.testing.assert_allclose(avg, expected, atol=1e-10)
 
     def test_average_entropy_for_basis_diagonal_states(self):
@@ -289,7 +292,7 @@ class TestHolevo:
         assert chi == pytest.approx(2.0, abs=1e-9)
 
     def test_maximally_mixed(self):
-        chi = densecoding_holevo(densecoding_ensemble(qt.maximally_mixed(2)))
+        chi = densecoding_holevo(densecoding_ensemble(maximally_mixed(2)))
         assert chi == pytest.approx(0.0, abs=1e-9)
 
     def test_werner_half(self):

@@ -15,6 +15,8 @@ from qthresh.errors import (
     TraceNotOne,
 )
 
+from oracles import maximally_mixed, tensor
+
 
 class TestValidateDensity:
     def test_maximally_mixed_is_valid(self):
@@ -57,24 +59,36 @@ class TestValidateDensity:
             qt.validate_density(np.eye(1), 1)
 
 
+class TestLocalDimension:
+    def test_numpy_integers_accepted_and_stored_as_int(self):
+        rho = qt.werner(qt.WernerParams(np.int64(3), 0.5))
+        assert type(rho.n) is int
+        json.dumps(qt.state_to_dict(rho))
+        assert type(qt.validate_density(np.eye(4) / 4, np.int32(2)).n) is int
+        assert qt.teleport_threshold_vn(np.int64(3)) == qt.teleport_threshold_vn(3)
+        summary = qt.verify_theorem(np.int64(2), 5)
+        assert type(summary.n) is int
+        json.dumps(summary.to_dict())
+
+
 class TestConstructors:
     def test_maximally_mixed_n2(self):
         np.testing.assert_allclose(
-            qt.maximally_mixed(2).entries, np.diag([0.25] * 4)
+            maximally_mixed(2).entries, np.diag([0.25] * 4)
         )
 
     def test_maximally_mixed_n3(self):
-        rho = qt.maximally_mixed(3)
+        rho = maximally_mixed(3)
         np.testing.assert_allclose(rho.entries, np.eye(9) / 9)
 
     def test_maximally_mixed_entropy(self):
-        assert qt.von_neumann_entropy(qt.maximally_mixed(2)) == pytest.approx(
+        assert qt.von_neumann_entropy(maximally_mixed(2)) == pytest.approx(
             2.0, abs=1e-12
         )
 
     def test_maximally_mixed_rejects_n1(self):
         with pytest.raises(InvalidDimension):
-            qt.maximally_mixed(1)
+            maximally_mixed(1)
 
     def test_canonical_phi_n2(self):
         amps = qt.canonical_phi(2).amplitudes
@@ -181,7 +195,7 @@ class TestBellBasis:
 
 class TestBellDiagonalCoeffs:
     def test_maximally_mixed(self):
-        c = qt.bell_diagonal_coeffs(qt.maximally_mixed(2), qt.bell_basis(2))
+        c = qt.bell_diagonal_coeffs(maximally_mixed(2), qt.bell_basis(2))
         np.testing.assert_allclose(c, [0.25] * 4, atol=1e-12)
 
     def test_phi_projector(self):
@@ -201,21 +215,21 @@ class TestBellDiagonalCoeffs:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            qt.bell_diagonal_coeffs(qt.maximally_mixed(3), qt.bell_basis(2))
+            qt.bell_diagonal_coeffs(maximally_mixed(3), qt.bell_basis(2))
 
 
 class TestTensorAndPartialTrace:
     def test_tensor_identities(self):
-        np.testing.assert_allclose(qt.tensor(np.eye(2), np.eye(2)), np.eye(4))
+        np.testing.assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_tensor_first_factor_slow(self):
         a = np.diag([1.0, 2.0])
         b = np.eye(2)
-        np.testing.assert_allclose(qt.tensor(a, b), np.diag([1.0, 1.0, 2.0, 2.0]))
+        np.testing.assert_allclose(tensor(a, b), np.diag([1.0, 1.0, 2.0, 2.0]))
 
     def test_tensor_rejects_vectors(self):
         with pytest.raises(DimensionMismatch):
-            qt.tensor(np.ones(2), np.eye(2))
+            tensor(np.ones(2), np.eye(2))
 
     def test_phi_reduces_to_maximally_mixed(self):
         phi = qt.canonical_phi(2)
@@ -237,12 +251,12 @@ class TestTensorAndPartialTrace:
 
     def test_partial_trace_rejects_bad_selector(self):
         with pytest.raises(qt.InvalidParameter):
-            qt.partial_trace(qt.maximally_mixed(2), "third")
+            qt.partial_trace(maximally_mixed(2), "third")
 
     def test_product_state_marginals(self):
         a = np.diag([0.7, 0.3]).astype(complex)
         b = np.diag([0.1, 0.9]).astype(complex)
-        rho = qt.validate_density(qt.tensor(a, b), 2)
+        rho = qt.validate_density(tensor(a, b), 2)
         np.testing.assert_allclose(qt.partial_trace(rho, "second"), a, atol=1e-12)
         np.testing.assert_allclose(qt.partial_trace(rho, "first"), b, atol=1e-12)
 
@@ -267,13 +281,13 @@ class TestStateFileFormat:
             qt.load_state(path)
 
     def test_rejects_nan(self):
-        payload = qt.state_to_dict(qt.maximally_mixed(2))
+        payload = qt.state_to_dict(maximally_mixed(2))
         payload["matrix"][0][0][0] = float("nan")
         with pytest.raises(ParseError, match="NaN"):
             qt.state_from_dict(payload)
 
     def test_rejects_inf(self, tmp_path):
-        payload = qt.state_to_dict(qt.maximally_mixed(2))
+        payload = qt.state_to_dict(maximally_mixed(2))
         payload["matrix"][1][1][1] = float("inf")
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(payload))
@@ -287,7 +301,7 @@ class TestStateFileFormat:
             qt.state_from_dict({"n": 2})
 
     def test_rejects_non_integer_n(self):
-        payload = qt.state_to_dict(qt.maximally_mixed(2))
+        payload = qt.state_to_dict(maximally_mixed(2))
         payload["n"] = 2.0
         with pytest.raises(ParseError):
             qt.state_from_dict(payload)
