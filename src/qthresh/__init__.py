@@ -4,8 +4,8 @@ A numerical toolkit for bipartite N x N mixed states centered on one
 question: how mixed can a state get before teleportation and dense
 coding stop working?  It provides:
 
-- validated density matrices, Weyl operators and maximally entangled
-  bases (``states``),
+- validated density matrices and the closed-form weights of a state in
+  the maximally entangled (Weyl) basis (``states``),
 - entropy functionals and the closed-form usefulness thresholds
   (``entropy``),
 - certified lower/upper bounds on the singlet fraction: exact at N = 2,
@@ -20,10 +20,10 @@ coding stop working?  It provides:
 Example:
     >>> import qthresh as qt
     >>> w = qt.werner(qt.WernerParams(2, 0.5))
-    >>> qt.von_neumann_entropy(w)
-    1.5487949406953985
-    >>> qt.fef_certified(w).lower
-    0.625...
+    >>> round(qt.von_neumann_entropy(w), 12)
+    1.548794940695
+    >>> round(qt.fef_certified(w).lower, 12)
+    0.625
 """
 
 from .entropy import (
@@ -39,12 +39,10 @@ from .entropy import (
 )
 from .errors import (
     DimensionMismatch,
-    IndexOutOfRange,
     InvalidDimension,
     InvalidParameter,
     InvalidRank,
     NotHermitian,
-    NotMaximallyEntangled,
     NotPSD,
     NotProbabilityVector,
     NumericalInstability,
@@ -101,18 +99,13 @@ from .sampling import (
 )
 from .states import (
     DensityMatrix,
-    MaxEntangledBasis,
-    PureState,
-    bell_basis,
     bell_diagonal_coeffs,
-    canonical_phi,
     load_state,
     partial_trace,
     save_state,
     state_from_dict,
     state_to_dict,
     validate_density,
-    weyl_operator,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

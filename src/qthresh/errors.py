@@ -29,14 +29,6 @@ class InvalidDimension(ValidationError):
     pass
 
 
-class IndexOutOfRange(ValidationError):
-    pass
-
-
-class NotMaximallyEntangled(ValidationError):
-    pass
-
-
 class NotProbabilityVector(ValidationError):
     pass
 

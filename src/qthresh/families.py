@@ -1,5 +1,6 @@
 """Closed-form state constructors: generalized Werner mixtures, states
-diagonal in the maximally entangled basis, and the extremal state that
+diagonal in the maximally entangled basis of ``states`` (written
+entrywise, with no basis vectors built), and the extremal state that
 sits exactly on the teleportation threshold."""
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import numpy as np
 
 from .entropy import shannon_bits, teleport_threshold_vn, densecoding_threshold
 from .errors import InvalidParameter, NotProbabilityVector
-from .states import DensityMatrix, _require_local_dim, bell_basis, canonical_phi
+from .states import DensityMatrix, _bell_diagonal_entries, _require_local_dim
 
 BISECTION_TOL = 1e-10
 
@@ -31,10 +32,13 @@ class WernerParams:
 
 
 def werner(params: WernerParams) -> DensityMatrix:
-    """epsilon |Phi><Phi| + (1 - epsilon) I / N^2."""
+    """epsilon |Phi><Phi| + (1 - epsilon) I / N^2: |Phi><Phi| is 1/N on the
+    [jj, kk] entries and zero elsewhere."""
     n, eps = params.n, params.epsilon
     d = n * n
-    entries = eps * canonical_phi(n).projector() + (1.0 - eps) * np.eye(d) / d
+    entries = (1.0 - eps) * np.eye(d) / d
+    diag = np.arange(n) * (n + 1)
+    entries[np.ix_(diag, diag)] += eps / n
     return DensityMatrix(n=n, entries=entries)
 
 
@@ -63,7 +67,9 @@ def werner_fef_closed_form(params: WernerParams) -> float:
 
 
 def bell_diagonal(n: int, weights) -> DensityMatrix:
-    """sum_k w_k |s_k><s_k| over the default maximally entangled basis."""
+    """sum_k w_k |s_k><s_k| over the maximally entangled basis of
+    ``states``, built in closed form by ``states._bell_diagonal_entries``."""
+    n = _require_local_dim(n)
     w = np.asarray(weights, dtype=float)
     d = n * n
     if w.shape != (d,):
@@ -72,8 +78,7 @@ def bell_diagonal(n: int, weights) -> DensityMatrix:
         raise NotProbabilityVector(f"negative weight {w.min():.3e}")
     if abs(float(w.sum()) - 1.0) > 1e-9:
         raise NotProbabilityVector(f"weights sum to {w.sum():.12f}, not 1")
-    stack = bell_basis(n).stack
-    entries = np.einsum("k,ki,kj->ij", w, stack, stack.conj(), optimize=True)
+    entries = _bell_diagonal_entries(n, w)
     entries = (entries + entries.conj().T) / 2.0
     return DensityMatrix(n=n, entries=entries)
 

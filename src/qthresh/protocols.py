@@ -4,11 +4,13 @@ quantity.
 
 The standard channel is the Weyl channel weighted by the resource's
 Bell-basis weights (Horodecki^3, PRA 60, 1888 (1999); Bowen & Bose,
-PRL 87, 267901 (2001)).  The Monte Carlo average fidelity uses that
-form: O(N^2 log N) per Haar input, one DFT per shift a = 0 .. N//2
-only, because the overlaps of shift -a are those of shift a with the
-phase index negated and conjugated, O(-a,b) = omega^{ab} conj(O(a,-b)),
-so the weights of the two shifts fold together once per call.  Each call
+PRL 87, 267901 (2001)), which ``states.bell_diagonal_coeffs`` gives in
+closed form; the exact fidelity needs only <Phi|rho|Phi>, a sum of N^2
+entries.  The Monte Carlo average fidelity uses the Weyl form:
+O(N^2 log N) per Haar input, one DFT per shift a = 0 .. N//2 only,
+because the overlaps of shift -a are those of shift a with the phase
+index negated and conjugated, O(-a,b) = omega^{ab} conj(O(a,-b)), so
+the weights of the two shifts fold together once per call.  Each call
 allocates one workspace sized for a chunk of inputs and every chunk runs
 in it, so memory is bounded independently of the sample count and no
 chunk allocates.  The literal measure-and-correct simulation is kept
@@ -34,13 +36,7 @@ from .entropy import (
 )
 from .errors import InvalidParameter
 from .sampling import check_seed
-from .states import (
-    DensityMatrix,
-    bell_basis,
-    bell_diagonal_coeffs,
-    canonical_phi,
-    partial_trace,
-)
+from .states import DensityMatrix, bell_diagonal_coeffs, partial_trace
 
 # A Monte Carlo chunk holds _MC_CHUNK_ENTRIES // N^2 inputs: their full
 # N x N tables of Weyl overlaps would be this many complex entries (1 MiB),
@@ -78,14 +74,12 @@ def teleportation_avg_fidelity_exact(rho_resource: DensityMatrix) -> TeleportRes
     """Average fidelity over Haar-random inputs, in closed form.
 
     For the standard protocol this is (N f_phi + 1)/(N + 1) with
-    f_phi = <Phi|rho|Phi>; the Monte Carlo sampler below exists to
-    validate exactly this formula.
+    f_phi = <Phi|rho|Phi> = sum_jk rho[jj, kk] / N; the Monte Carlo
+    sampler below exists to validate exactly this formula.
     """
     n = rho_resource.n
-    phi = canonical_phi(n).amplitudes
-    f_phi = float(
-        np.einsum("i,ij,j->", phi.conj(), rho_resource.entries, phi).real
-    )
+    diag = np.arange(n) * (n + 1)
+    f_phi = float(rho_resource.entries[np.ix_(diag, diag)].sum().real) / n
     return TeleportResult(f_phi=f_phi, f_avg_exact=(n * f_phi + 1.0) / (n + 1.0))
 
 
@@ -159,7 +153,7 @@ def teleportation_avg_fidelity_mc(
         raise InvalidParameter(f"n_samples must be >= 100, got {n_samples}")
     check_seed(seed)
     n = rho_resource.n
-    folded = _fold_weights(bell_diagonal_coeffs(rho_resource, bell_basis(n)), n)
+    folded = _fold_weights(bell_diagonal_coeffs(rho_resource), n)
     rng = np.random.default_rng(seed)
     chunk = max(1, _MC_CHUNK_ENTRIES // (n * n))
     normals = np.empty((2, chunk, n))

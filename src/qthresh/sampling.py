@@ -28,8 +28,9 @@ class SamplerSpec:
     ``kind`` is one of ``KINDS`` and ``dim`` is the total Hilbert-space
     dimension N^2.  ``rank`` applies to ``rank_limited`` only and
     ``mix_toward_identity`` to ``high_entropy`` only; each is required
-    there.  ``seed`` is a non-negative integer, stored as a Python
-    ``int``.  Every check runs here, so ``sample`` never rejects a spec.
+    there.  ``dim``, ``rank`` and ``seed`` are integers (Python or numpy,
+    never bool), stored as Python ``int``s; ``seed`` is non-negative.
+    Every check runs here, so ``sample`` never rejects a spec.
     """
 
     kind: str
@@ -41,14 +42,23 @@ class SamplerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParameter(f"unknown sampler kind {self.kind!r}")
-        if self.dim < 4 or math.isqrt(self.dim) ** 2 != self.dim:
+        if (
+            not _is_int(self.dim)
+            or self.dim < 4
+            or math.isqrt(self.dim) ** 2 != self.dim
+        ):
             raise InvalidDimension(
-                f"dim must be a perfect square N^2 with N >= 2, got {self.dim}"
+                f"dim must be a perfect square N^2 with N >= 2, got {self.dim!r}"
             )
+        object.__setattr__(self, "dim", int(self.dim))
         if self.kind == "rank_limited" and self.rank is None:
             raise InvalidRank("rank_limited sampling requires a rank")
-        if self.rank is not None and not (1 <= self.rank <= self.dim):
-            raise InvalidRank(f"rank must lie in [1, {self.dim}], got {self.rank}")
+        if self.rank is not None:
+            if not (_is_int(self.rank) and 1 <= self.rank <= self.dim):
+                raise InvalidRank(
+                    f"rank must be an integer in [1, {self.dim}], got {self.rank!r}"
+                )
+            object.__setattr__(self, "rank", int(self.rank))
         if self.kind == "high_entropy" and self.mix_toward_identity is None:
             raise InvalidParameter("high_entropy sampling requires mix_toward_identity")
         if self.mix_toward_identity is not None and not (
@@ -63,6 +73,11 @@ class SamplerSpec:
             )
         check_seed(self.seed)
         object.__setattr__(self, "seed", int(self.seed))
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_seed(seed) -> None:

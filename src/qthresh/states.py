@@ -1,9 +1,12 @@
 """Linear-algebra substrate for bipartite N x N states.
 
-Validated density matrices, canonical maximally entangled states,
-discrete Weyl operators, the orthonormal maximally entangled basis they
-generate, and the partial trace.  All matrices are dense complex128
-with the first tensor factor on the slow (row-major) index.
+Validated density matrices, the partial trace, the state file format,
+and the two closed-form transforms between a state and its weights in
+the maximally entangled basis |s_ab> = (X^a Z^b (x) I)|Phi> (X the cyclic
+shift, Z the clock phase, |Phi> = N^(-1/2) sum_j |jj>).  That basis is
+never built: its convention lives in ``_weyl_layout`` alone.  All
+matrices are dense complex128 with the first tensor factor on the slow
+(row-major) index.
 """
 
 from __future__ import annotations
@@ -11,17 +14,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    IndexOutOfRange,
     InvalidDimension,
     InvalidParameter,
     NotHermitian,
-    NotMaximallyEntangled,
     NotPSD,
     NumericalInstability,
     ParseError,
@@ -29,8 +29,6 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
-PURE_NORM_TOL = 1e-12
-BASIS_TOL = 1e-10
 
 
 def _require_local_dim(n) -> int:
@@ -75,50 +73,6 @@ class DensityMatrix:
         return self.n * self.n
 
 
-@dataclass(frozen=True)
-class PureState:
-    """Unit vector of a given dimension."""
-
-    dim: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"expected {self.dim} amplitudes, got shape {amps.shape}"
-            )
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > PURE_NORM_TOL:
-            raise InvalidParameter(
-                f"|norm^2 - 1| = {abs(norm_sq - 1.0):.3e} exceeds {PURE_NORM_TOL:.0e}"
-            )
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
-
-@dataclass(frozen=True)
-class MaxEntangledBasis:
-    """Orthonormal family of N^2 maximally entangled states.
-
-    Index convention k = a*N + b for Weyl labels (a, b); states[0] is
-    the seed state itself.
-    """
-
-    n: int
-    states: tuple[PureState, ...]
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """Amplitudes stacked as rows, shape (N^2, N^2)."""
-        out = np.array([s.amplitudes for s in self.states])
-        out.setflags(write=False)
-        return out
-
-
 def validate_density(raw, n: int) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity, each to
     ``DEFAULT_TOL``, returning the state.
@@ -154,103 +108,33 @@ def validate_density(raw, n: int) -> DensityMatrix:
     return DensityMatrix(n=n, entries=sym)
 
 
-def canonical_phi(n: int) -> PureState:
-    """Canonical maximally entangled state (1/sqrt(N)) sum_i |ii>."""
-    n = _require_local_dim(n)
-    amps = np.zeros(n * n, dtype=np.complex128)
-    amps[:: n + 1] = 1.0 / math.sqrt(n)
-    return PureState(dim=n * n, amplitudes=amps)
+def _weyl_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the maximally entangled basis states live and what they hold.
 
-
-def weyl_operator(n: int, a: int, b: int) -> np.ndarray:
-    """Discrete Weyl unitary X^a Z^b on C^N.
-
-    X shifts the computational basis, X|j> = |j+1 mod N>, and Z applies
-    phases Z|j> = omega^j |j> with omega = exp(2 pi i / N).
+    |s_ab> = (X^a Z^b (x) I)|Phi> = N^(-1/2) sum_j omega^(bj) |j+a, j>,
+    k = a*N + b, with omega = exp(2 pi i / N): |s_ab> has amplitude
+    ``amp[j, b]`` = omega^(bj) / sqrt(N) at position ``index[a, j]`` =
+    ((j + a) mod N)*N + j and zero elsewhere.  The rows of ``index``
+    partition the N^2 positions, so the states of shift a see only the
+    block of rho on row a.
     """
-    n = _require_local_dim(n)
-    if not (
-        isinstance(a, (int, np.integer))
-        and isinstance(b, (int, np.integer))
-        and 0 <= a < n
-        and 0 <= b < n
-    ):
-        raise IndexOutOfRange(
-            f"Weyl labels must be integers in [0, {n}), got (a, b) = ({a}, {b})"
-        )
-    omega = np.exp(2j * np.pi / n)
     j = np.arange(n)
-    w = np.zeros((n, n), dtype=np.complex128)
-    w[(j + a) % n, j] = omega ** (b * j)
-    return w
+    index = ((j[None, :] + j[:, None]) % n) * n + j[None, :]
+    amp = np.exp(2j * np.pi / n) ** np.outer(j, j) * (1.0 / math.sqrt(n))
+    return index, amp
 
 
-def bell_basis(n: int, seed_state: PureState | None = None) -> MaxEntangledBasis:
-    """Maximally entangled basis states[k] = (W(a,b) (x) I)|seed>, k = a*N + b.
-
-    The seed defaults to ``canonical_phi(n)`` and must be maximally
-    entangled (both reduced states equal to I/N within 1e-10); the
-    resulting family is orthonormal for any valid seed.
-    """
-    n = _require_local_dim(n)
-    if seed_state is None:
-        seed_state = canonical_phi(n)
-    if seed_state.dim != n * n:
-        raise DimensionMismatch(
-            f"seed state has dimension {seed_state.dim}, expected {n * n}"
-        )
-    seed_mat = seed_state.amplitudes.reshape(n, n)
-    target = np.eye(n) / n
-    red_first = seed_mat @ seed_mat.conj().T
-    dev = float(np.abs(red_first - target).max())
-    if dev > BASIS_TOL:
-        raise NotMaximallyEntangled(
-            f"seed reduced state deviates from I/N by {dev:.3e} (tol {BASIS_TOL:.0e})"
-        )
-    states = []
-    for a in range(n):
-        for b in range(n):
-            amps = (weyl_operator(n, a, b) @ seed_mat).reshape(n * n)
-            states.append(PureState(dim=n * n, amplitudes=amps))
-    basis = MaxEntangledBasis(n=n, states=tuple(states))
-    _check_basis(basis)
-    return basis
-
-
-def _check_basis(basis: MaxEntangledBasis) -> None:
-    """Postcondition check: orthonormal and entrywise maximally entangled."""
-    n = basis.n
-    stack = basis.stack
-    gram = stack.conj() @ stack.T
-    gram_dev = float(np.abs(gram - np.eye(n * n)).max())
-    if gram_dev > BASIS_TOL:
-        raise NumericalInstability(
-            f"basis Gram matrix deviates from identity by {gram_dev:.3e}"
-        )
-    target = np.eye(n) / n
-    mats = stack.reshape(n * n, n, n)
-    red_first = np.einsum("kij,klj->kil", mats, mats.conj())
-    red_second = np.einsum("kji,kjl->kil", mats, mats.conj())
-    dev = max(
-        float(np.abs(red_first - target).max()),
-        float(np.abs(red_second - target).max()),
-    )
-    if dev > BASIS_TOL:
-        raise NumericalInstability(
-            f"basis state reduced states deviate from I/N by {dev:.3e}"
-        )
-
-
-def bell_diagonal_coeffs(rho: DensityMatrix, basis: MaxEntangledBasis) -> np.ndarray:
-    """Diagonal weights <s_k|rho|s_k> of ``rho`` in a maximally entangled basis.
+def bell_diagonal_coeffs(rho: DensityMatrix) -> np.ndarray:
+    """Diagonal weights <s_k|rho|s_k> of ``rho`` in the maximally
+    entangled basis, k = a*N + b: c_ab = (F^dagger B_a F)_bb / N with B_a
+    the block of rho on row a of ``_weyl_layout`` and F the DFT matrix.
 
     For a valid state this is a probability vector up to numerical
     noise; realness and normalization are checked, not assumed.
     """
-    if rho.n != basis.n:
-        raise DimensionMismatch(f"state has N={rho.n}, basis has N={basis.n}")
-    stack = basis.stack
-    c = np.einsum("ki,ij,kj->k", stack.conj(), rho.entries, stack, optimize=True)
+    index, amp = _weyl_layout(rho.n)
+    blocks = rho.entries[index[:, :, None], index[:, None, :]]
+    c = np.einsum("jb,ajk,kb->ab", amp.conj(), blocks, amp).reshape(-1)
     imag_dev = float(np.abs(c.imag).max())
     if imag_dev > 1e-10:
         raise NumericalInstability(
@@ -263,6 +147,20 @@ def bell_diagonal_coeffs(rho: DensityMatrix, basis: MaxEntangledBasis) -> np.nda
             f"min {c.min():.3e}, sum {c.sum():.12f}"
         )
     return c
+
+
+def _bell_diagonal_entries(n: int, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k |s_k><s_k|, the inverse of ``bell_diagonal_coeffs``: the
+    block F diag(w_a) F^dagger / N on row a of ``_weyl_layout``, zero
+    elsewhere.  It is formed as (amp diag(w_a)) amp^dagger, one product of
+    amplitudes per term summed over b in order, because the extremal
+    threshold state has S = T exactly and its entropy verdict follows the
+    last bit of these entries."""
+    index, amp = _weyl_layout(n)
+    blocks = (amp * weights.reshape(n, 1, n)) @ amp.conj().T
+    entries = np.zeros((n * n, n * n), dtype=np.complex128)
+    entries[index[:, :, None], index[:, None, :]] = blocks
+    return entries
 
 
 def partial_trace(rho: DensityMatrix, which: str = "first") -> np.ndarray:
@@ -286,9 +184,7 @@ def _ptrace_array(mat: np.ndarray, n: int, which: str) -> np.ndarray:
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:
-    matrix = [
-        [[float(v.real), float(v.imag)] for v in row] for row in rho.entries
-    ]
+    matrix = np.stack([rho.entries.real, rho.entries.imag], axis=-1).tolist()
     return {"n": rho.n, "matrix": matrix}
 
 
@@ -321,5 +217,7 @@ def load_state(path) -> DensityMatrix:
 
 
 def save_state(rho: DensityMatrix, path) -> None:
+    # one string and one write: json.dump streams thousands of small
+    # writes and takes about twice as long for the same bytes
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_dict(rho), fh)
+        fh.write(json.dumps(state_to_dict(rho)))

@@ -4,34 +4,71 @@ The singlet-fraction oracle searches SU(2) directly on three angles with
 a shrinking grid; it shares no code path with the package's unitary
 ascent, so agreement between the two is meaningful evidence.
 
+The maximally entangled basis is built literally here, and only here:
+the Weyl matrices X^a Z^b, the canonical |Phi>, and the N^2 basis
+vectors (X^a Z^b (x) I)|seed> stacked as the rows of a plain amplitude
+array, k = a*N + b, for any seed vector.  The package never builds it;
+it uses closed forms for the weights of a state in that basis and for
+their inverse, and these vectors are what those closed forms are tested
+against.
+
 The teleportation transfer matrix is built column by column from the
 literal measure-and-correct simulator, one N^2-outcome protocol run per
 matrix unit; it shares no code with the Weyl-channel closed form that
 the Monte Carlo fidelity uses.
 
 The remaining references compute directly what the package computes in
-closed form: the overlap of one explicit maximally entangled state, the
-materialized dense-coding ensemble with its Holevo quantity, the first-
-factor rotation that links the optimizer's witness to the teleportation
-fidelity, the Shannon entropy of the weights in a maximally entangled
-basis, and the exact singlet fraction of a basis-diagonal state.  The
-small constructors at the end (the maximally mixed state, Kronecker
-products, Haar-random pure inputs) build test inputs.
+closed form: the materialized dense-coding ensemble with its Holevo
+quantity, the first-factor rotation that links the optimizer's witness
+to the teleportation fidelity, the Shannon entropy of the weights in a
+maximally entangled basis, and the exact singlet fraction of a
+basis-diagonal state.  The small constructors at the end (|Phi><Phi|,
+the maximally mixed state, Kronecker products, Haar-random pure inputs)
+build test inputs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from qthresh.entropy import shannon_bits, von_neumann_entropy
 from qthresh.errors import DimensionMismatch, InvalidParameter, NotProbabilityVector
-from qthresh.states import (
-    DensityMatrix,
-    MaxEntangledBasis,
-    PureState,
-    bell_diagonal_coeffs,
-    weyl_operator,
-)
+from qthresh.states import DensityMatrix
+
+
+def weyl_operator(n: int, a: int, b: int) -> np.ndarray:
+    """Discrete Weyl unitary X^a Z^b on C^N, with X|j> = |j+1 mod N> and
+    Z|j> = omega^j |j>, omega = exp(2 pi i / N)."""
+    x = np.roll(np.eye(n), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    return np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+
+
+def canonical_phi(n: int) -> np.ndarray:
+    """Amplitudes of |Phi> = (1/sqrt(N)) sum_i |ii>."""
+    amps = np.zeros(n * n, dtype=np.complex128)
+    amps[:: n + 1] = 1.0 / np.sqrt(n)
+    return amps
+
+
+def bell_basis(seed: np.ndarray) -> np.ndarray:
+    """Rows k = a*N + b are (X^a Z^b (x) I)|seed>; orthonormal and
+    maximally entangled whenever the seed is."""
+    n = math.isqrt(len(seed))
+    seed_mat = np.asarray(seed, dtype=np.complex128).reshape(n, n)
+    return np.array(
+        [
+            (weyl_operator(n, a, b) @ seed_mat).reshape(-1)
+            for a in range(n)
+            for b in range(n)
+        ]
+    )
+
+
+def basis_weights(rho: DensityMatrix, basis: np.ndarray) -> np.ndarray:
+    """<s_k|rho|s_k> for every row s_k of ``basis``."""
+    return np.einsum("ki,ij,kj->k", basis.conj(), rho.entries, basis).real
 
 
 def su2_overlap_objective(entries, u00, u01, u10, u11):
@@ -102,10 +139,10 @@ def fef_objective(rho: DensityMatrix, unitary: np.ndarray) -> float:
     return float(np.einsum("i,ij,j->", u.conj(), rho.entries, u).real) / rho.n
 
 
-def shannon_entropy_in_basis(rho: DensityMatrix, basis: MaxEntangledBasis) -> float:
+def shannon_entropy_in_basis(rho: DensityMatrix, basis: np.ndarray) -> float:
     """Shannon entropy of the diagonal weights of rho in a maximally
     entangled basis; never below the von Neumann entropy."""
-    c = bell_diagonal_coeffs(rho, basis)
+    c = basis_weights(rho, basis)
     return shannon_bits(np.where(c < 0.0, 0.0, c))
 
 
@@ -150,19 +187,20 @@ def _channel_apply_matrix(resource: DensityMatrix, sigma: np.ndarray) -> np.ndar
 
 
 def teleportation_channel_apply(
-    rho_resource: DensityMatrix, input_state: PureState
+    rho_resource: DensityMatrix, psi: np.ndarray
 ) -> np.ndarray:
-    """Send one N-dimensional pure state through the standard protocol.
+    """Send the N amplitudes ``psi`` of a pure state through the standard
+    protocol.
 
     Returns Bob's N x N output state (unit trace, Hermitian, PSD up to
     numerical noise).
     """
     n = rho_resource.n
-    if input_state.dim != n:
+    if psi.shape != (n,):
         raise DimensionMismatch(
-            f"input has dimension {input_state.dim}, resource expects {n}"
+            f"input has shape {psi.shape}, resource expects ({n},)"
         )
-    return _channel_apply_matrix(rho_resource, input_state.projector())
+    return _channel_apply_matrix(rho_resource, np.outer(psi, psi.conj()))
 
 
 @dataclass(frozen=True)
@@ -215,6 +253,12 @@ def fef_bell_diagonal_exact(coeffs) -> tuple[float, int]:
     return float(c[k]), k
 
 
+def phi_projector_state(n: int) -> DensityMatrix:
+    """|Phi><Phi|, the perfect resource."""
+    phi = canonical_phi(n)
+    return DensityMatrix(n=n, entries=np.outer(phi, phi.conj()))
+
+
 def maximally_mixed(n: int) -> DensityMatrix:
     """I / N^2, the flat-spectrum state."""
     d = n * n
@@ -230,9 +274,9 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def haar_pure(dim: int, seed=0) -> PureState:
-    """Haar-random pure state: a normalized complex standard-normal vector."""
+def haar_pure(dim: int, seed=0) -> np.ndarray:
+    """Amplitudes of a Haar-random pure state: a normalized complex
+    standard-normal vector."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    return PureState(dim=dim, amplitudes=v)
+    return v / np.linalg.norm(v)

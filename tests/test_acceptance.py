@@ -13,11 +13,14 @@ import pytest
 
 import qthresh as qt
 from oracles import (
+    bell_basis,
+    canonical_phi,
     densecoding_ensemble,
     densecoding_holevo,
     fef_bell_diagonal_exact,
     fef_bruteforce_n2,
     maximally_mixed,
+    phi_projector_state,
     shannon_entropy_in_basis,
 )
 
@@ -79,11 +82,10 @@ def test_criterion_3_theorem_verification():
 
 def test_criterion_4_shannon_dominance():
     for n in (2, 3):
-        bases = [qt.bell_basis(n)]
+        bases = [bell_basis(canonical_phi(n))]
         for seed in range(5):
             u = qt.haar_unitary(n, seed=seed + 900)
-            seed_amps = (u @ qt.canonical_phi(n).amplitudes.reshape(n, n)).reshape(-1)
-            bases.append(qt.bell_basis(n, qt.PureState(n * n, seed_amps)))
+            bases.append(bell_basis((u @ canonical_phi(n).reshape(n, n)).reshape(-1)))
         for index in range(1000):
             rho = qt.sample(
                 qt.SamplerSpec(kind="hilbert_schmidt", dim=n * n, seed=104), index
@@ -143,8 +145,8 @@ def test_criterion_6_dense_coding_identity():
 
 def test_criterion_7_teleportation_operational():
     resources = [
-        ("phi n=2", qt.DensityMatrix(2, qt.canonical_phi(2).projector())),
-        ("phi n=3", qt.DensityMatrix(3, qt.canonical_phi(3).projector())),
+        ("phi n=2", phi_projector_state(2)),
+        ("phi n=3", phi_projector_state(3)),
         ("mm n=2", maximally_mixed(2)),
         ("mm n=3", maximally_mixed(3)),
         ("W_2(0.5)", qt.werner(qt.WernerParams(2, 0.5))),

@@ -4,7 +4,13 @@ import pytest
 import qthresh as qt
 from qthresh.errors import InvalidDimension
 
-from oracles import maximally_mixed, shannon_entropy_in_basis
+from oracles import (
+    bell_basis,
+    canonical_phi,
+    maximally_mixed,
+    phi_projector_state,
+    shannon_entropy_in_basis,
+)
 
 # hand evaluation: W_2(1/2) has spectrum (0.625, 0.125 x3),
 # S = -0.625 log2 0.625 - 3 * 0.125 log2 0.125 = 1.548794941...
@@ -18,7 +24,7 @@ class TestVonNeumannEntropy:
         )
 
     def test_pure_state(self):
-        rho = qt.DensityMatrix(2, qt.canonical_phi(2).projector())
+        rho = phi_projector_state(2)
         assert qt.von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_werner_half(self):
@@ -43,16 +49,16 @@ class TestVonNeumannEntropy:
 
 class TestShannonInBasis:
     def test_maximally_mixed(self):
-        val = shannon_entropy_in_basis(maximally_mixed(2), qt.bell_basis(2))
+        val = shannon_entropy_in_basis(maximally_mixed(2), bell_basis(canonical_phi(2)))
         assert val == pytest.approx(2.0, abs=1e-12)
 
     def test_phi(self):
-        rho = qt.DensityMatrix(2, qt.canonical_phi(2).projector())
-        val = shannon_entropy_in_basis(rho, qt.bell_basis(2))
+        rho = phi_projector_state(2)
+        val = shannon_entropy_in_basis(rho, bell_basis(canonical_phi(2)))
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_dominates_von_neumann(self):
-        basis = qt.bell_basis(2)
+        basis = bell_basis(canonical_phi(2))
         for seed in range(50):
             rho = qt.hs_random_density(4, 4, seed=seed)
             assert shannon_entropy_in_basis(rho, basis) >= (
@@ -62,7 +68,7 @@ class TestShannonInBasis:
 
 class TestLinearEntropy:
     def test_pure(self):
-        rho = qt.DensityMatrix(2, qt.canonical_phi(2).projector())
+        rho = phi_projector_state(2)
         assert qt.linear_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed(self):

@@ -4,14 +4,19 @@ import pytest
 import qthresh as qt
 from qthresh.errors import InvalidDimension, InvalidParameter, NotProbabilityVector
 
-from oracles import fef_bell_diagonal_exact
+from oracles import (
+    bell_basis,
+    canonical_phi,
+    fef_bell_diagonal_exact,
+    phi_projector_state,
+)
 
 
 class TestWernerConstruction:
     def test_eps_one_is_phi_projector(self):
         rho = qt.werner(qt.WernerParams(2, 1.0))
         np.testing.assert_allclose(
-            rho.entries, qt.canonical_phi(2).projector(), atol=1e-15
+            rho.entries, phi_projector_state(2).entries, atol=1e-15
         )
 
     def test_eps_zero_is_maximally_mixed(self):
@@ -88,17 +93,36 @@ class TestBellDiagonalConstructor:
     def test_e0_gives_phi(self):
         rho = qt.bell_diagonal(2, [1, 0, 0, 0])
         np.testing.assert_allclose(
-            rho.entries, qt.canonical_phi(2).projector(), atol=1e-12
+            rho.entries, phi_projector_state(2).entries, atol=1e-12
         )
 
     def test_round_trip_coefficients(self):
         rng = np.random.default_rng(7)
-        basis = qt.bell_basis(3)
         for _ in range(5):
             w = rng.dirichlet(np.ones(9))
             rho = qt.bell_diagonal(3, w)
-            got = qt.bell_diagonal_coeffs(rho, basis)
+            got = qt.bell_diagonal_coeffs(rho)
             np.testing.assert_allclose(got, w, atol=1e-10)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_literal_basis_mixture(self, n):
+        rng = np.random.default_rng(40 + n)
+        basis = bell_basis(canonical_phi(n))
+        for _ in range(3):
+            w = rng.dirichlet(np.ones(n * n))
+            expected = np.einsum("k,ki,kj->ij", w, basis, basis.conj())
+            np.testing.assert_allclose(
+                qt.bell_diagonal(n, w).entries, expected, rtol=0, atol=1e-14
+            )
+            np.testing.assert_allclose(
+                qt.bell_diagonal_coeffs(qt.bell_diagonal(n, w)), w,
+                rtol=0, atol=1e-14,
+            )
+
+    @pytest.mark.parametrize("n", [2.0, 1])
+    def test_rejects_bad_dimension(self, n):
+        with pytest.raises(InvalidDimension):
+            qt.bell_diagonal(n, [1.0] + [0.0] * (int(n * n) - 1))
 
     def test_rejects_non_probability(self):
         with pytest.raises(NotProbabilityVector):

@@ -12,6 +12,7 @@ from oracles import (
     fef_bruteforce_n2,
     fef_objective,
     maximally_mixed,
+    phi_projector_state,
     tensor,
 )
 
@@ -68,7 +69,7 @@ class TestOptimizerConfig:
 
 class TestLowerBound:
     def test_phi_reaches_one(self):
-        rho = qt.DensityMatrix(2, qt.canonical_phi(2).projector())
+        rho = phi_projector_state(2)
         bounds = qt.fef_certified(rho)
         assert bounds.lower == pytest.approx(1.0, abs=1e-9)
         # optimal unitary is a global phase times identity
@@ -94,7 +95,7 @@ class TestLowerBound:
 
 class TestUpperBound:
     def test_phi(self):
-        rho = qt.DensityMatrix(2, qt.canonical_phi(2).projector())
+        rho = phi_projector_state(2)
         assert qt.fef_certified(rho).upper == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
@@ -246,7 +247,7 @@ class TestTwoQubitExact:
     @pytest.mark.parametrize(
         "rho",
         [
-            qt.DensityMatrix(2, qt.canonical_phi(2).projector()),
+            phi_projector_state(2),
             maximally_mixed(2),
             qt.extremal_threshold_state(2),
             qt.hs_random_density(4, 1, seed=3),
@@ -430,7 +431,7 @@ class TestSpectralShift:
 
 class TestTeleportVerdict:
     def test_phi_usable(self):
-        rho = qt.DensityMatrix(2, qt.canonical_phi(2).projector())
+        rho = phi_projector_state(2)
         bounds = qt.fef_certified(rho)
         assert (
             qt.usable_for_teleportation(bounds, 2)

@@ -8,7 +8,7 @@ import qthresh as qt
 from qthresh.errors import DimensionMismatch, InvalidParameter, TheoremViolation
 from qthresh.reports import CSV_HEADER
 
-from oracles import maximally_mixed
+from oracles import maximally_mixed, phi_projector_state
 
 
 class TestAnalyze:
@@ -23,7 +23,7 @@ class TestAnalyze:
 
     def test_phi_report(self, tmp_path):
         path = tmp_path / "phi.json"
-        qt.save_state(qt.DensityMatrix(2, qt.canonical_phi(2).projector()), path)
+        qt.save_state(phi_projector_state(2), path)
         report = qt.analyze_rho(qt.load_state(path))
         assert report.s_vn == pytest.approx(0.0, abs=1e-9)
         assert report.entropy_verdict_teleport is qt.EntropyVerdict.BELOW

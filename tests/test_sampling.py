@@ -40,17 +40,17 @@ class TestHaarUnitary:
 class TestHaarPure:
     def test_unit_norm(self):
         psi = haar_pure(9, seed=4)
-        assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
+        assert abs(np.linalg.norm(psi) - 1) < 1e-12
 
     def test_determinism(self):
         np.testing.assert_array_equal(
-            haar_pure(4, seed=3).amplitudes, haar_pure(4, seed=3).amplitudes
+            haar_pure(4, seed=3), haar_pure(4, seed=3)
         )
 
     def test_fidelity_moment(self):
         draws = 10_000
         vals = np.array(
-            [abs(haar_pure(2, seed=s).amplitudes[0]) ** 2 for s in range(draws)]
+            [abs(haar_pure(2, seed=s)[0]) ** 2 for s in range(draws)]
         )
         tol = 5 * np.sqrt(1 / 12 / draws)
         assert abs(vals.mean() - 0.5) < tol
@@ -178,6 +178,26 @@ class TestSamplerSpec:
     def test_rejects_non_integer_seed(self, seed):
         with pytest.raises(InvalidParameter, match="must be an integer"):
             qt.SamplerSpec(kind="hilbert_schmidt", dim=4, seed=seed)
+
+    @pytest.mark.parametrize(
+        "dim", [4.0, True, np.float64(9.0)], ids=["float", "bool", "np_float64"]
+    )
+    def test_rejects_non_integer_dim(self, dim):
+        with pytest.raises(InvalidDimension, match="perfect square"):
+            qt.SamplerSpec(kind="hilbert_schmidt", dim=dim)
+
+    @pytest.mark.parametrize(
+        "rank", [1.5, 2.0, True, np.bool_(True)],
+        ids=["float", "integral_float", "bool", "np_bool"],
+    )
+    def test_rejects_non_integer_rank(self, rank):
+        with pytest.raises(InvalidRank, match="must be an integer"):
+            qt.SamplerSpec(kind="rank_limited", dim=4, rank=rank)
+
+    def test_numpy_integer_dim_and_rank_stored_as_int(self):
+        spec = qt.SamplerSpec(kind="rank_limited", dim=np.int64(4), rank=np.int32(2))
+        assert type(spec.dim) is int and type(spec.rank) is int
+        assert spec == qt.SamplerSpec(kind="rank_limited", dim=4, rank=2)
 
     def test_numpy_integer_seed_matches_int(self):
         spec = qt.SamplerSpec(kind="hilbert_schmidt", dim=4, seed=np.int64(5))
