@@ -11,7 +11,8 @@ coding stop working?  It provides:
 - certified lower/upper bounds on the singlet fraction: exact at N = 2,
   a power-method search over the unitary group above (``fef``),
 - Werner mixtures, basis-diagonal states and the extremal
-  threshold-saturating state (``families``),
+  threshold-saturating state, which is the Werner state at F = 1/N
+  (``families``),
 - the teleportation fidelity and dense-coding Holevo quantity that give
   the thresholds their operational meaning (``protocols``),
 - seeded random state generation (``sampling``) and an experiment
@@ -27,7 +28,6 @@ Example:
 """
 
 from .entropy import (
-    SpectralDecomposition,
     densecoding_threshold,
     hermitian_entropy_bits,
     linear_entropy,
@@ -38,18 +38,9 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .errors import (
-    DimensionMismatch,
-    InvalidDimension,
-    InvalidParameter,
-    InvalidRank,
-    NotHermitian,
-    NotPSD,
-    NotProbabilityVector,
     NumericalInstability,
-    ParseError,
     TheoremViolation,
     ToolkitError,
-    TraceNotOne,
     ValidationError,
 )
 from .families import (
@@ -58,7 +49,6 @@ from .families import (
     bell_diagonal,
     critical_epsilons,
     extremal_threshold_state,
-    extremal_threshold_weights,
     werner,
     werner_entropy_closed_form,
     werner_fef_closed_form,
@@ -93,8 +83,6 @@ from .reports import (
 from .sampling import (
     SamplerSpec,
     haar_unitary,
-    high_entropy_density,
-    hs_random_density,
     sample,
 )
 from .states import (
@@ -103,9 +91,8 @@ from .states import (
     load_state,
     partial_trace,
     save_state,
-    state_from_dict,
     state_to_dict,
     validate_density,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

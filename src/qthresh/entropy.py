@@ -8,27 +8,19 @@ before any logarithm; anything below -1e-9 is a validation failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPSD, NumericalInstability
+from .errors import NumericalInstability, ValidationError
 from .states import DensityMatrix, _require_local_dim
 
 PSD_CLAMP = 1e-9
 RECONSTRUCTION_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Hermitian eigendecomposition, eigenvalues sorted descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def spectral_decomposition(matrix: np.ndarray) -> SpectralDecomposition:
-    """Checked Hermitian eigendecomposition.
+def spectral_decomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked Hermitian eigendecomposition: (eigenvalues, eigenvectors)
+    with the eigenvalues sorted descending and eigenvector k in column k.
 
     The reconstruction V diag(lambda) V^dagger is compared against the
     input; a deviation above 1e-8 raises ``NumericalInstability`` rather
@@ -47,7 +39,7 @@ def spectral_decomposition(matrix: np.ndarray) -> SpectralDecomposition:
             f"eigendecomposition reconstruction error {recon_dev:.3e} "
             f"exceeds {RECONSTRUCTION_TOL:.0e}"
         )
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    return vals, vecs
 
 
 def shannon_bits(probabilities) -> float:
@@ -65,7 +57,7 @@ def _clamped_spectrum(matrix: np.ndarray) -> np.ndarray:
         raise NumericalInstability(f"eigenvalue solve failed: {exc}") from exc
     low = float(vals.min())
     if low < -PSD_CLAMP:
-        raise NotPSD(f"eigenvalue {low:.3e} below -{PSD_CLAMP:.0e}")
+        raise ValidationError(f"eigenvalue {low:.3e} below -{PSD_CLAMP:.0e}")
     return np.where(vals < 0.0, 0.0, vals)
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.  Every rejected input,
+shape, parameter or state file raises ``ValidationError``, whose message
+says what was wrong."""
 
 
 class ToolkitError(Exception):
@@ -6,43 +8,7 @@ class ToolkitError(Exception):
 
 
 class ValidationError(ToolkitError):
-    """An input state, vector or parameter failed validation."""
-
-
-class DimensionMismatch(ValidationError):
-    pass
-
-
-class NotHermitian(ValidationError):
-    pass
-
-
-class TraceNotOne(ValidationError):
-    pass
-
-
-class NotPSD(ValidationError):
-    pass
-
-
-class InvalidDimension(ValidationError):
-    pass
-
-
-class NotProbabilityVector(ValidationError):
-    pass
-
-
-class InvalidParameter(ValidationError):
-    pass
-
-
-class InvalidRank(ValidationError):
-    pass
-
-
-class ParseError(ValidationError):
-    """A state file could not be parsed into a matrix."""
+    """An input state, vector, parameter or state file failed validation."""
 
 
 class NumericalInstability(ToolkitError):

@@ -1,7 +1,8 @@
-"""Closed-form state constructors: generalized Werner mixtures, states
-diagonal in the maximally entangled basis of ``states`` (written
-entrywise, with no basis vectors built), and the extremal state that
-sits exactly on the teleportation threshold."""
+"""Closed-form state constructors: generalized Werner (isotropic)
+mixtures, states diagonal in the maximally entangled basis of ``states``
+(written entrywise, with no basis vectors built), and the extremal state
+that sits exactly on the teleportation threshold, which is the Werner
+state whose F is 1/N."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import shannon_bits, teleport_threshold_vn, densecoding_threshold
-from .errors import InvalidParameter, NotProbabilityVector
+from .errors import ValidationError
 from .states import DensityMatrix, _bell_diagonal_entries, _require_local_dim
 
 BISECTION_TOL = 1e-10
@@ -26,7 +27,7 @@ class WernerParams:
     def __post_init__(self):
         object.__setattr__(self, "n", _require_local_dim(self.n))
         if not (0.0 <= self.epsilon <= 1.0):
-            raise InvalidParameter(
+            raise ValidationError(
                 f"epsilon must lie in [0, 1], got {self.epsilon}"
             )
 
@@ -73,31 +74,29 @@ def bell_diagonal(n: int, weights) -> DensityMatrix:
     w = np.asarray(weights, dtype=float)
     d = n * n
     if w.shape != (d,):
-        raise NotProbabilityVector(f"expected {d} weights, got shape {w.shape}")
+        raise ValidationError(f"expected {d} weights, got shape {w.shape}")
     if float(w.min()) < -1e-9:
-        raise NotProbabilityVector(f"negative weight {w.min():.3e}")
+        raise ValidationError(f"negative weight {w.min():.3e}")
     if abs(float(w.sum()) - 1.0) > 1e-9:
-        raise NotProbabilityVector(f"weights sum to {w.sum():.12f}, not 1")
+        raise ValidationError(f"weights sum to {w.sum():.12f}, not 1")
     entries = _bell_diagonal_entries(n, w)
     entries = (entries + entries.conj().T) / 2.0
     return DensityMatrix(n=n, entries=entries)
 
 
-def extremal_threshold_weights(n: int) -> np.ndarray:
-    """Weight 1/N on the seed state, the rest uniform: the distribution
-    whose Shannon entropy equals the teleportation threshold exactly."""
-    n = _require_local_dim(n)
-    d = n * n
-    w = np.full(d, (1.0 - 1.0 / n) / (d - 1))
-    w[0] = 1.0 / n
-    return w
-
-
 def extremal_threshold_state(n: int) -> DensityMatrix:
     """The threshold-saturating state: S equals the teleportation
     threshold, F equals 1/N, and the linear entropy equals its own
-    threshold, all simultaneously."""
-    return bell_diagonal(n, extremal_threshold_weights(n))
+    threshold, all simultaneously.
+
+    Its weights are 1/N on |Phi> and 1/(N(N+1)) on every other state of
+    the maximally entangled basis, so it is the Werner (isotropic) state
+    at epsilon = 1/(N+1), whose F = epsilon + (1 - epsilon)/N^2 is 1/N:
+    the boundary where isotropic states become separable (Horodecki &
+    Horodecki, PRA 59, 4206 (1999)).
+    """
+    n = _require_local_dim(n)
+    return werner(WernerParams(n, 1.0 / (n + 1)))
 
 
 @dataclass(frozen=True)

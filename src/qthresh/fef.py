@@ -31,12 +31,13 @@ margin ``VERDICT_MARGIN``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameter, NumericalInstability
+from .errors import NumericalInstability, ValidationError
 from .entropy import spectral_decomposition
 from .sampling import haar_unitary
 from .states import DensityMatrix
@@ -55,7 +56,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.restarts < 1:
-            raise InvalidParameter(f"restarts must be >= 1, got {self.restarts}")
+            raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,9 @@ class FefBounds:
     """Certified sandwich lower <= F(rho) <= upper.
 
     ``lower`` is the overlap achieved by the explicit state
-    (best_unitary (x) I)|Phi>; it is recomputable from ``best_unitary``.
+    (best_unitary (x) I)|Phi>; it is recomputable from ``best_unitary``,
+    whose global phase, which that state does not see, is fixed by
+    ``_fix_phase``.
     ``upper`` is max(lambda_max(rho), lower): both are upper bounds on
     F, and taking the larger keeps ``gap`` >= 0 when rounding puts the
     attained overlap a few ulps above the computed eigenvalue.
@@ -185,6 +188,20 @@ def _two_qubit_exact(entries: np.ndarray) -> tuple[float, np.ndarray]:
     return float(values[-1]), unitary
 
 
+def _fix_phase(unitary: np.ndarray) -> np.ndarray:
+    """The unitary times the global phase that makes the first entry of
+    row 0 with modulus >= 1/(2 sqrt N) real and positive; row 0 has unit
+    norm, so such an entry exists for every unitary, Tr U = 0 included."""
+    floor = 0.5 / math.sqrt(len(unitary))
+    row = unitary[0].tolist()
+    k = 0
+    while abs(row[k]) < floor:
+        k += 1
+    fixed = unitary * (abs(row[k]) / row[k])
+    fixed[0, k] = abs(row[k])
+    return fixed
+
+
 def fef_certified(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> FefBounds:
     """Lower and upper bound together with the optimizing unitary.
 
@@ -204,16 +221,16 @@ def fef_certified(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Fef
     cfg = cfg if cfg is not None else OptimizerConfig()
     if rho.n == 2:
         lower, best_u = _two_qubit_exact(rho.entries)
-        return FefBounds(lower, lower, best_u, 0, 0, True)
-    spectrum = spectral_decomposition(rho.entries)
+        return FefBounds(lower, lower, _fix_phase(best_u), 0, 0, True)
+    eigenvalues, eigenvectors = spectral_decomposition(rho.entries)
     starts = np.stack(
-        [_spectral_start(spectrum.eigenvectors[:, 0], rho.n)]
+        [_spectral_start(eigenvectors[:, 0], rho.n)]
         + [
             haar_unitary(rho.n, (cfg.seed ^ r) & _SEED_MASK)
             for r in range(cfg.restarts)
         ]
     )
-    top, shift = float(spectrum.eigenvalues[0]), float(spectrum.eigenvalues[-1])
+    top, shift = float(eigenvalues[0]), float(eigenvalues[-1])
     units, f, iterations, last_delta = _ascend(
         rho.entries, rho.n, starts, MAX_ITERS, STEP_TOL, shift
     )
@@ -229,7 +246,7 @@ def fef_certified(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Fef
     return FefBounds(
         lower=lower,
         upper=upper,
-        best_unitary=units[best],
+        best_unitary=_fix_phase(units[best]),
         restarts_used=cfg.restarts,
         iterations_total=total,
         converged=(upper - lower) <= GAP_TOL or bool(last_delta[best] < STEP_TOL),

@@ -34,7 +34,8 @@ from .entropy import (
     hermitian_entropy_bits,
     von_neumann_entropy,
 )
-from .errors import InvalidParameter
+from .errors import ValidationError
+from .fef import VERDICT_MARGIN
 from .sampling import check_seed
 from .states import DensityMatrix, bell_diagonal_coeffs, partial_trace
 
@@ -147,10 +148,10 @@ def teleportation_avg_fidelity_mc(
     runs without allocating.  The count, mean and sum of squared
     deviations of each chunk are merged into the running ones (Chan,
     Golub & LeVeque), so memory does not grow with ``n_samples``.  A
-    negative integer seed raises ``InvalidParameter``.
+    negative integer seed raises ``ValidationError``.
     """
     if n_samples < 100:
-        raise InvalidParameter(f"n_samples must be >= 100, got {n_samples}")
+        raise ValidationError(f"n_samples must be >= 100, got {n_samples}")
     check_seed(seed)
     n = rho_resource.n
     folded = _fold_weights(bell_diagonal_coeffs(rho_resource), n)
@@ -209,7 +210,7 @@ def densecoding_chi_standard(rho: DensityMatrix) -> float:
     maximally mixed (Werner and basis-diagonal states), and is what makes
     dimensions up to N = 8 tractable.
     """
-    marginal = partial_trace(rho, "first")
+    marginal = partial_trace(rho)
     return (
         math.log2(rho.n)
         + hermitian_entropy_bits(marginal)
@@ -218,8 +219,9 @@ def densecoding_chi_standard(rho: DensityMatrix) -> float:
 
 
 def densecoding_useful(rho: DensityMatrix) -> DenseCodingVerdict:
-    """Useful iff the standard-ensemble Holevo quantity beats log2 N."""
+    """Useful iff the standard-ensemble Holevo quantity beats log2 N by
+    more than ``VERDICT_MARGIN``."""
     chi = densecoding_chi_standard(rho)
-    if chi > densecoding_threshold(rho.n) + 1e-9:
+    if chi > densecoding_threshold(rho.n) + VERDICT_MARGIN:
         return DenseCodingVerdict.USEFUL
     return DenseCodingVerdict.NOT_USEFUL

@@ -18,7 +18,7 @@ from .entropy import (
     teleport_threshold_vn,
     von_neumann_entropy,
 )
-from .errors import DimensionMismatch, InvalidParameter, TheoremViolation
+from .errors import TheoremViolation, ValidationError
 from .families import WernerParams, critical_epsilons, werner_purity_closed_form, \
     werner_entropy_closed_form, werner_fef_closed_form
 from .fef import (
@@ -35,7 +35,18 @@ from .states import DensityMatrix, _require_local_dim, state_to_dict
 
 class EntropyVerdict(str, Enum):
     ABOVE = "AboveThreshold"
+    AT = "AtThreshold"
     BELOW = "BelowThreshold"
+
+
+def _entropy_verdict(s: float, threshold: float) -> EntropyVerdict:
+    """Above or below only by more than ``VERDICT_MARGIN``, so float
+    noise never picks a side for a state on the threshold."""
+    if s > threshold + VERDICT_MARGIN:
+        return EntropyVerdict.ABOVE
+    if s < threshold - VERDICT_MARGIN:
+        return EntropyVerdict.BELOW
+    return EntropyVerdict.AT
 
 
 @dataclass(frozen=True)
@@ -75,8 +86,10 @@ class ThresholdReport:
 def analyze_rho(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> ThresholdReport:
     """Full report for an in-memory state.
 
-    Raises ``TheoremViolation`` if the state is simultaneously above the
-    entropy threshold and certified usable, which no valid state can be.
+    The entropy verdicts are decided by ``_entropy_verdict``.  Raises
+    ``TheoremViolation`` if S exceeds the teleportation threshold at all,
+    margin or not, while the state is certified usable, which no valid
+    state can be.
     """
     cfg = cfg if cfg is not None else OptimizerConfig()
     n = rho.n
@@ -85,12 +98,7 @@ def analyze_rho(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Thres
     dc_t = densecoding_threshold(n)
     bounds = fef_certified(rho, cfg)
     teleport_verdict = usable_for_teleportation(bounds, n)
-    entropy_teleport = EntropyVerdict.ABOVE if s_vn > t_vn else EntropyVerdict.BELOW
-    entropy_dc = EntropyVerdict.ABOVE if s_vn > dc_t else EntropyVerdict.BELOW
-    if (
-        entropy_teleport is EntropyVerdict.ABOVE
-        and teleport_verdict is TeleportVerdict.USABLE_CERTIFIED
-    ):
+    if s_vn > t_vn and teleport_verdict is TeleportVerdict.USABLE_CERTIFIED:
         raise TheoremViolation(
             f"S = {s_vn:.12f} bits exceeds threshold {t_vn:.12f} yet the "
             f"certified F lower bound is {bounds.lower:.12f} > 1/{n}; "
@@ -106,8 +114,8 @@ def analyze_rho(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Thres
         fef_lower=bounds.lower,
         fef_upper=bounds.upper,
         teleport_verdict=teleport_verdict,
-        entropy_verdict_teleport=entropy_teleport,
-        entropy_verdict_densecoding=entropy_dc,
+        entropy_verdict_teleport=_entropy_verdict(s_vn, t_vn),
+        entropy_verdict_densecoding=_entropy_verdict(s_vn, dc_t),
         holevo_chi=densecoding_chi_standard(rho),
     )
 
@@ -175,14 +183,14 @@ def verify_theorem(
     """
     n = _require_local_dim(n)
     if samples < 1:
-        raise InvalidParameter(f"samples must be >= 1, got {samples}")
+        raise ValidationError(f"samples must be >= 1, got {samples}")
     sampler = (
         sampler
         if sampler is not None
         else SamplerSpec(kind="hilbert_schmidt", dim=n * n, seed=0)
     )
     if sampler.dim != n * n:
-        raise DimensionMismatch(
+        raise ValidationError(
             f"sampler dim {sampler.dim} does not match bipartite N={n}"
         )
     cfg = cfg if cfg is not None else OptimizerConfig()
@@ -270,7 +278,7 @@ def _werner_row(n: int, eps: float) -> SweepRow:
 def sweep_werner(n: int, grid_points: int) -> list[SweepRow]:
     """Uniform epsilon grid on [0, 1] plus the three critical markers."""
     if grid_points < 2:
-        raise InvalidParameter(f"grid_points must be >= 2, got {grid_points}")
+        raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
     crit = critical_epsilons(n)
     eps_values = list(np.linspace(0.0, 1.0, grid_points)) + [
         crit.eps_fef_above,

@@ -5,7 +5,8 @@ Every direct sampler takes an explicit ``seed`` (anything accepted by
 Generator), and the output is fully determined by its arguments.
 ``sample(spec, index)`` derives an independent stream per index from the
 spec's integer seed, so batch generation is order- and
-partition-independent.
+partition-independent.  Two kinds are sampled: full-rank
+Hilbert-Schmidt states, and the same states mixed toward I/N^2.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, InvalidParameter, InvalidRank
+from .errors import ValidationError
 from .states import DensityMatrix, validate_density
 
-KINDS = ("hilbert_schmidt", "rank_limited", "high_entropy")
+KINDS = ("hilbert_schmidt", "high_entropy")
 
 
 @dataclass(frozen=True)
@@ -26,49 +27,40 @@ class SamplerSpec:
     """Which density matrices to sample and from which stream.
 
     ``kind`` is one of ``KINDS`` and ``dim`` is the total Hilbert-space
-    dimension N^2.  ``rank`` applies to ``rank_limited`` only and
-    ``mix_toward_identity`` to ``high_entropy`` only; each is required
-    there.  ``dim``, ``rank`` and ``seed`` are integers (Python or numpy,
-    never bool), stored as Python ``int``s; ``seed`` is non-negative.
-    Every check runs here, so ``sample`` never rejects a spec.
+    dimension N^2.  ``mix_toward_identity`` applies to ``high_entropy``
+    only and is required there.  ``dim`` and ``seed`` are integers
+    (Python or numpy, never bool), stored as Python ``int``s; ``seed`` is
+    non-negative.  Every check runs here, so ``sample`` never rejects a
+    spec.
     """
 
     kind: str
     dim: int
-    rank: int | None = None
     mix_toward_identity: float | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise InvalidParameter(f"unknown sampler kind {self.kind!r}")
+            raise ValidationError(f"unknown sampler kind {self.kind!r}")
         if (
             not _is_int(self.dim)
             or self.dim < 4
             or math.isqrt(self.dim) ** 2 != self.dim
         ):
-            raise InvalidDimension(
+            raise ValidationError(
                 f"dim must be a perfect square N^2 with N >= 2, got {self.dim!r}"
             )
         object.__setattr__(self, "dim", int(self.dim))
-        if self.kind == "rank_limited" and self.rank is None:
-            raise InvalidRank("rank_limited sampling requires a rank")
-        if self.rank is not None:
-            if not (_is_int(self.rank) and 1 <= self.rank <= self.dim):
-                raise InvalidRank(
-                    f"rank must be an integer in [1, {self.dim}], got {self.rank!r}"
-                )
-            object.__setattr__(self, "rank", int(self.rank))
         if self.kind == "high_entropy" and self.mix_toward_identity is None:
-            raise InvalidParameter("high_entropy sampling requires mix_toward_identity")
+            raise ValidationError("high_entropy sampling requires mix_toward_identity")
         if self.mix_toward_identity is not None and not (
             0.0 <= self.mix_toward_identity <= 1.0
         ):
-            raise InvalidParameter(
+            raise ValidationError(
                 f"mix_toward_identity must lie in [0, 1], got {self.mix_toward_identity}"
             )
         if not isinstance(self.seed, (int, np.integer)):
-            raise InvalidParameter(
+            raise ValidationError(
                 f"SamplerSpec seed must be an integer, got {type(self.seed).__name__}"
             )
         check_seed(self.seed)
@@ -85,11 +77,11 @@ def check_seed(seed) -> None:
     would refuse with a bare ``ValueError``; SeedSequence and Generator
     seeds pass through."""
     if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise InvalidParameter(f"seed must be >= 0, got {seed}")
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
-def _ginibre(rng, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+def _ginibre(rng, n: int) -> np.ndarray:
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def haar_unitary(n: int, seed=0) -> np.ndarray:
@@ -100,30 +92,26 @@ def haar_unitary(n: int, seed=0) -> np.ndarray:
     merely unitary.
     """
     if n < 1:
-        raise InvalidDimension(f"unitary dimension must be >= 1, got {n}")
+        raise ValidationError(f"unitary dimension must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(_ginibre(rng, n, n))
+    q, r = np.linalg.qr(_ginibre(rng, n))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
-def hs_random_density(dim: int, rank: int | None = None, seed=0) -> DensityMatrix:
-    """G G^dagger / Tr(G G^dagger) for a dim x rank complex Ginibre G.
+def hs_random_density(dim: int, seed=0) -> DensityMatrix:
+    """G G^dagger / Tr(G G^dagger) for a square dim x dim complex Ginibre
+    G: the Hilbert-Schmidt measure.
 
-    ``rank = dim`` (the default) gives the Hilbert-Schmidt measure.
     ``dim`` must be a perfect square N^2 so the result is a valid
     bipartite state.
     """
     n = math.isqrt(dim)
     if n * n != dim:
-        raise InvalidDimension(
+        raise ValidationError(
             f"dim must be a perfect square (bipartite N^2), got {dim}"
         )
-    if rank is None:
-        rank = dim
-    if not (1 <= rank <= dim):
-        raise InvalidRank(f"rank must lie in [1, {dim}], got {rank}")
-    g = _ginibre(np.random.default_rng(seed), dim, rank)
+    g = _ginibre(np.random.default_rng(seed), dim)
     m = g @ g.conj().T
     m /= np.trace(m).real
     return validate_density(m, n)
@@ -136,9 +124,9 @@ def high_entropy_density(n: int, mix: float, seed=0) -> DensityMatrix:
     regime at larger N; mixing toward the identity does.
     """
     if not (0.0 <= mix <= 1.0):
-        raise InvalidParameter(f"mix must lie in [0, 1], got {mix}")
+        raise ValidationError(f"mix must lie in [0, 1], got {mix}")
     d = n * n
-    base = hs_random_density(d, d, seed)
+    base = hs_random_density(d, seed)
     m = (1.0 - mix) * base.entries + mix * np.eye(d) / d
     return validate_density(m, n)
 
@@ -151,7 +139,5 @@ def sample(spec: SamplerSpec, index: int = 0) -> DensityMatrix:
     """
     seed = np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,))
     if spec.kind == "hilbert_schmidt":
-        return hs_random_density(spec.dim, spec.dim, seed)
-    if spec.kind == "rank_limited":
-        return hs_random_density(spec.dim, spec.rank, seed)
+        return hs_random_density(spec.dim, seed)
     return high_entropy_density(math.isqrt(spec.dim), spec.mix_toward_identity, seed)

@@ -1,7 +1,8 @@
 """Linear-algebra substrate for bipartite N x N states.
 
-Validated density matrices, the partial trace, the state file format,
-and the two closed-form transforms between a state and its weights in
+Validated density matrices (every rejection is a ``ValidationError``),
+the partial trace over the first factor, the state file format, and the
+two closed-form transforms between a state and its weights in
 the maximally entangled basis |s_ab> = (X^a Z^b (x) I)|Phi> (X the cyclic
 shift, Z the clock phase, |Phi> = N^(-1/2) sum_j |jj>).  That basis is
 never built: its convention lives in ``_weyl_layout`` alone.  All
@@ -17,16 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidDimension,
-    InvalidParameter,
-    NotHermitian,
-    NotPSD,
-    NumericalInstability,
-    ParseError,
-    TraceNotOne,
-)
+from .errors import NumericalInstability, ValidationError
 
 DEFAULT_TOL = 1e-9
 
@@ -35,7 +27,7 @@ def _require_local_dim(n) -> int:
     """Check a local dimension and return it as a Python ``int``, so
     numpy integers are accepted and never reach a JSON payload."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-        raise InvalidDimension(f"local dimension must be an integer >= 2, got {n!r}")
+        raise ValidationError(f"local dimension must be an integer >= 2, got {n!r}")
     return int(n)
 
 
@@ -60,17 +52,12 @@ class DensityMatrix:
         entries = _as_complex(self.entries)
         d = self.n * self.n
         if entries.shape != (d, d):
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"expected {d}x{d} entries for local dimension {self.n}, "
                 f"got shape {entries.shape}"
             )
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-
-    @property
-    def dim(self) -> int:
-        """Total Hilbert-space dimension N^2."""
-        return self.n * self.n
 
 
 def validate_density(raw, n: int) -> DensityMatrix:
@@ -86,25 +73,25 @@ def validate_density(raw, n: int) -> DensityMatrix:
     mat = _as_complex(raw)
     d = n * n
     if mat.shape != (d, d):
-        raise DimensionMismatch(
+        raise ValidationError(
             f"expected shape ({d}, {d}) for local dimension {n}, got {mat.shape}"
         )
     if not np.isfinite(mat).all():
-        raise InvalidParameter("matrix contains NaN or Inf entries")
+        raise ValidationError("matrix contains NaN or Inf entries")
     herm_dev = float(np.abs(mat - mat.conj().T).max())
     if herm_dev > DEFAULT_TOL:
-        raise NotHermitian(
+        raise ValidationError(
             f"max |M - M^dagger| = {herm_dev:.3e} exceeds tolerance {DEFAULT_TOL:.1e}"
         )
     sym = (mat + mat.conj().T) / 2.0
     trace_dev = abs(complex(np.trace(sym)) - 1.0)
     if trace_dev > DEFAULT_TOL:
-        raise TraceNotOne(
+        raise ValidationError(
             f"|trace - 1| = {trace_dev:.3e} exceeds tolerance {DEFAULT_TOL:.1e}"
         )
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     if min_eig < -DEFAULT_TOL:
-        raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{DEFAULT_TOL:.1e}")
+        raise ValidationError(f"minimum eigenvalue {min_eig:.3e} below -{DEFAULT_TOL:.1e}")
     return DensityMatrix(n=n, entries=sym)
 
 
@@ -152,10 +139,7 @@ def bell_diagonal_coeffs(rho: DensityMatrix) -> np.ndarray:
 def _bell_diagonal_entries(n: int, weights: np.ndarray) -> np.ndarray:
     """sum_k w_k |s_k><s_k|, the inverse of ``bell_diagonal_coeffs``: the
     block F diag(w_a) F^dagger / N on row a of ``_weyl_layout``, zero
-    elsewhere.  It is formed as (amp diag(w_a)) amp^dagger, one product of
-    amplitudes per term summed over b in order, because the extremal
-    threshold state has S = T exactly and its entropy verdict follows the
-    last bit of these entries."""
+    elsewhere, formed as (amp diag(w_a)) amp^dagger."""
     index, amp = _weyl_layout(n)
     blocks = (amp * weights.reshape(n, 1, n)) @ amp.conj().T
     entries = np.zeros((n * n, n * n), dtype=np.complex128)
@@ -163,18 +147,11 @@ def _bell_diagonal_entries(n: int, weights: np.ndarray) -> np.ndarray:
     return entries
 
 
-def partial_trace(rho: DensityMatrix, which: str = "first") -> np.ndarray:
-    """Trace out one tensor factor, returning the remaining N x N state."""
-    return _ptrace_array(rho.entries, rho.n, which)
-
-
-def _ptrace_array(mat: np.ndarray, n: int, which: str) -> np.ndarray:
-    t = mat.reshape(n, n, n, n)
-    if which == "first":
-        return np.einsum("ijil->jl", t)
-    if which == "second":
-        return np.einsum("ijkj->ik", t)
-    raise InvalidParameter(f"which must be 'first' or 'second', got {which!r}")
+def partial_trace(rho: DensityMatrix) -> np.ndarray:
+    """Trace out the first tensor factor, returning the second one's
+    N x N state."""
+    n = rho.n
+    return np.einsum("ijil->jl", rho.entries.reshape(n, n, n, n))
 
 
 # --- state file format -----------------------------------------------------
@@ -190,18 +167,18 @@ def state_to_dict(rho: DensityMatrix) -> dict:
 
 def state_from_dict(payload) -> DensityMatrix:
     if not isinstance(payload, dict) or "n" not in payload or "matrix" not in payload:
-        raise ParseError("state payload must be an object with 'n' and 'matrix' keys")
+        raise ValidationError("state payload must be an object with 'n' and 'matrix' keys")
     n = payload["n"]
     if not isinstance(n, int) or isinstance(n, bool):
-        raise ParseError(f"'n' must be an integer, got {n!r}")
+        raise ValidationError(f"'n' must be an integer, got {n!r}")
     try:
         arr = np.asarray(payload["matrix"], dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"'matrix' is not a numeric array: {exc}") from exc
+        raise ValidationError(f"'matrix' is not a numeric array: {exc}") from exc
     if arr.ndim != 3 or arr.shape[-1] != 2:
-        raise ParseError("'matrix' entries must be two-element [re, im] arrays")
+        raise ValidationError("'matrix' entries must be two-element [re, im] arrays")
     if not np.isfinite(arr).all():
-        raise ParseError("'matrix' contains NaN or Inf")
+        raise ValidationError("'matrix' contains NaN or Inf")
     return validate_density(arr[..., 0] + 1j * arr[..., 1], n)
 
 
@@ -210,9 +187,9 @@ def load_state(path) -> DensityMatrix:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read state file {path}: {exc}") from exc
+        raise ValidationError(f"cannot read state file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     return state_from_dict(payload)
 
 

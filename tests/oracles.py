@@ -22,8 +22,10 @@ closed form: the materialized dense-coding ensemble with its Holevo
 quantity, the first-factor rotation that links the optimizer's witness
 to the teleportation fidelity, the Shannon entropy of the weights in a
 maximally entangled basis, and the exact singlet fraction of a
-basis-diagonal state.  The small constructors at the end (|Phi><Phi|,
-the maximally mixed state, Kronecker products, Haar-random pure inputs)
+basis-diagonal state, and the partial trace over the second factor.
+The small constructors at the end (|Phi><Phi|, the maximally mixed
+state, the antisymmetric Werner state, the extremal state's weights,
+Kronecker products, low-rank Ginibre states, Haar-random pure inputs)
 build test inputs.
 """
 
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from qthresh.entropy import shannon_bits, von_neumann_entropy
-from qthresh.errors import DimensionMismatch, InvalidParameter, NotProbabilityVector
-from qthresh.states import DensityMatrix
+from qthresh.errors import ValidationError
+from qthresh.states import DensityMatrix, validate_density
 
 
 def weyl_operator(n: int, a: int, b: int) -> np.ndarray:
@@ -132,8 +134,8 @@ def _channel_transfer_matrix(resource):
 def fef_objective(rho: DensityMatrix, unitary: np.ndarray) -> float:
     """Overlap <Psi_U|rho|Psi_U> for |Psi_U> = (U (x) I)|Phi>."""
     u = np.asarray(unitary, dtype=np.complex128).reshape(-1)
-    if u.shape != (rho.dim,):
-        raise InvalidParameter(
+    if u.shape != (rho.n * rho.n,):
+        raise ValidationError(
             f"unitary must be {rho.n} x {rho.n} for this state"
         )
     return float(np.einsum("i,ij,j->", u.conj(), rho.entries, u).real) / rho.n
@@ -156,7 +158,7 @@ def rotate_first_factor(rho: DensityMatrix, unitary: np.ndarray) -> DensityMatri
     """
     v = np.asarray(unitary, dtype=np.complex128)
     if v.shape != (rho.n, rho.n):
-        raise DimensionMismatch(
+        raise ValidationError(
             f"unitary must be {rho.n} x {rho.n}, got {v.shape}"
         )
     full = tensor(v, np.eye(rho.n))
@@ -197,7 +199,7 @@ def teleportation_channel_apply(
     """
     n = rho_resource.n
     if psi.shape != (n,):
-        raise DimensionMismatch(
+        raise ValidationError(
             f"input has shape {psi.shape}, resource expects ({n},)"
         )
     return _channel_apply_matrix(rho_resource, np.outer(psi, psi.conj()))
@@ -244,13 +246,19 @@ def fef_bell_diagonal_exact(coeffs) -> tuple[float, int]:
     largest weight and its index, ties broken toward the lowest index."""
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1:
-        raise NotProbabilityVector(f"expected a vector, got shape {c.shape}")
+        raise ValidationError(f"expected a vector, got shape {c.shape}")
     if float(c.min()) < -1e-9:
-        raise NotProbabilityVector(f"negative weight {c.min():.3e}")
+        raise ValidationError(f"negative weight {c.min():.3e}")
     if abs(float(c.sum()) - 1.0) > 1e-9:
-        raise NotProbabilityVector(f"weights sum to {c.sum():.12f}, not 1")
+        raise ValidationError(f"weights sum to {c.sum():.12f}, not 1")
     k = int(np.argmax(c))
     return float(c[k]), k
+
+
+def partial_trace_second(rho: DensityMatrix) -> np.ndarray:
+    """Trace out the second tensor factor, returning the first one's
+    N x N state."""
+    return np.einsum("ijkj->ik", rho.entries.reshape((rho.n,) * 4))
 
 
 def phi_projector_state(n: int) -> DensityMatrix:
@@ -265,13 +273,44 @@ def maximally_mixed(n: int) -> DensityMatrix:
     return DensityMatrix(n=n, entries=np.eye(d, dtype=np.complex128) / d)
 
 
+def antisymmetric_werner(n: int) -> DensityMatrix:
+    """P_a / Tr P_a, the normalized projector onto the antisymmetric
+    subspace: P_a = (I - SWAP)/2 with Tr P_a = N(N-1)/2."""
+    d = n * n
+    j = np.arange(d)
+    swap = np.zeros((d, d))
+    swap[(j % n) * n + j // n, j] = 1.0
+    return DensityMatrix(n=n, entries=(np.eye(d) - swap) / (n * (n - 1)))
+
+
+def extremal_weights(n: int) -> np.ndarray:
+    """Weight 1/N on |Phi> (index 0 of the maximally entangled basis),
+    the rest uniform: the weights of the threshold-saturating state."""
+    d = n * n
+    w = np.full(d, (1.0 - 1.0 / n) / (d - 1))
+    w[0] = 1.0 / n
+    return w
+
+
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two matrices, first factor on the slow index."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2:
-        raise DimensionMismatch("tensor expects two matrices")
+        raise ValidationError("tensor expects two matrices")
     return np.kron(a, b)
+
+
+def ginibre_density(dim: int, rank: int, seed=0) -> DensityMatrix:
+    """G G^dagger / Tr(G G^dagger) for a dim x rank complex Ginibre G,
+    drawn as the package's Hilbert-Schmidt sampler draws its square G, so
+    rank = dim reproduces ``qthresh.sampling.hs_random_density`` bit for
+    bit and rank < dim gives states of rank at most ``rank``."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    return validate_density(m, math.isqrt(dim))
 
 
 def haar_pure(dim: int, seed=0) -> np.ndarray:

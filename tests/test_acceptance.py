@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 import qthresh as qt
+from qthresh.sampling import hs_random_density
 from oracles import (
     bell_basis,
     canonical_phi,
     densecoding_ensemble,
     densecoding_holevo,
+    extremal_weights,
     fef_bell_diagonal_exact,
     fef_bruteforce_n2,
     maximally_mixed,
@@ -53,7 +55,7 @@ def test_criterion_2_extremal_saturation():
     for n in range(2, 7):
         rho = qt.extremal_threshold_state(n)
         assert abs(qt.von_neumann_entropy(rho) - qt.teleport_threshold_vn(n)) <= 1e-9
-        value, index = fef_bell_diagonal_exact(qt.extremal_threshold_weights(n))
+        value, index = fef_bell_diagonal_exact(extremal_weights(n))
         assert value == 1.0 / n and index == 0
         assert abs(qt.linear_entropy(rho) - qt.teleport_threshold_linear(n)) <= 1e-12
     _announce(2, "extremal states saturate S, F and S_L thresholds for N=2..6")
@@ -155,8 +157,8 @@ def test_criterion_7_teleportation_operational():
     rng = np.random.default_rng(107)
     resources.append(("belldiag n=2", qt.bell_diagonal(2, rng.dirichlet(np.ones(4)))))
     resources.append(("belldiag n=3", qt.bell_diagonal(3, rng.dirichlet(np.ones(9)))))
-    resources.append(("random n=2", qt.hs_random_density(4, 4, seed=109)))
-    resources.append(("random n=3", qt.hs_random_density(9, 9, seed=110)))
+    resources.append(("random n=2", hs_random_density(4, seed=109)))
+    resources.append(("random n=3", hs_random_density(9, seed=110)))
     for label, resource in resources:
         result = _mc_within_3_sigma(resource, seed=108)
         if label.startswith("phi"):

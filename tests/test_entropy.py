@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import qthresh as qt
-from qthresh.errors import InvalidDimension
+from qthresh.errors import ValidationError
+from qthresh.sampling import hs_random_density
 
 from oracles import (
     bell_basis,
     canonical_phi,
+    extremal_weights,
     maximally_mixed,
     phi_projector_state,
     shannon_entropy_in_basis,
@@ -33,13 +35,13 @@ class TestVonNeumannEntropy:
 
     def test_range(self):
         for seed in range(10):
-            rho = qt.hs_random_density(9, 9, seed=seed)
+            rho = hs_random_density(9, seed=seed)
             s = qt.von_neumann_entropy(rho)
             assert 0.0 <= s <= 2 * np.log2(3) + 1e-9
 
     def test_unitary_invariance(self):
         for seed in range(10):
-            rho = qt.hs_random_density(4, 4, seed=seed)
+            rho = hs_random_density(4, seed=seed)
             u = qt.haar_unitary(4, seed=seed + 100)
             rotated = qt.validate_density(u @ rho.entries @ u.conj().T, 2)
             assert qt.von_neumann_entropy(rotated) == pytest.approx(
@@ -60,7 +62,7 @@ class TestShannonInBasis:
     def test_dominates_von_neumann(self):
         basis = bell_basis(canonical_phi(2))
         for seed in range(50):
-            rho = qt.hs_random_density(4, 4, seed=seed)
+            rho = hs_random_density(4, seed=seed)
             assert shannon_entropy_in_basis(rho, basis) >= (
                 qt.von_neumann_entropy(rho) - 1e-9
             )
@@ -84,7 +86,7 @@ class TestLinearEntropy:
     def test_upper_limit(self):
         for n in (2, 3):
             for seed in range(5):
-                rho = qt.hs_random_density(n * n, n * n, seed=seed)
+                rho = hs_random_density(n * n, seed=seed)
                 assert qt.linear_entropy(rho) <= 1 - 1 / (n * n) + 1e-12
 
 
@@ -124,13 +126,13 @@ class TestThresholds:
             qt.teleport_threshold_linear,
             qt.densecoding_threshold,
         ):
-            with pytest.raises(InvalidDimension):
+            with pytest.raises(ValidationError, match="local dimension"):
                 fn(1)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_extremal_distribution_saturates_threshold(self, n):
         # Shannon entropy of (1/N, uniform rest) equals the closed form exactly
-        w = qt.extremal_threshold_weights(n)
+        w = extremal_weights(n)
         assert abs(qt.shannon_bits(w) - qt.teleport_threshold_vn(n)) < 1e-12
 
 
@@ -141,7 +143,7 @@ class TestPurityConsistency:
         found = 0
         for n in (2, 3):
             for seed in range(15):
-                rho = qt.hs_random_density(n * n, n * n, seed=seed)
+                rho = hs_random_density(n * n, seed=seed)
                 bounds = qt.fef_certified(rho)
                 if bounds.lower >= 1.0 / n:
                     assert qt.linear_entropy(rho) <= (
@@ -162,13 +164,13 @@ class TestPurityConsistency:
 
 class TestSpectralDecomposition:
     def test_reconstruction_and_order(self):
-        rho = qt.hs_random_density(9, 9, seed=3)
-        dec = qt.spectral_decomposition(rho.entries)
-        assert np.all(np.diff(dec.eigenvalues) <= 1e-15)
-        recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
+        rho = hs_random_density(9, seed=3)
+        values, vectors = qt.spectral_decomposition(rho.entries)
+        assert np.all(np.diff(values) <= 1e-15)
+        recon = (vectors * values) @ vectors.conj().T
         assert np.abs(recon - rho.entries).max() < 1e-8
 
     def test_orthonormal_eigenvectors(self):
-        rho = qt.hs_random_density(4, 4, seed=4)
-        v = qt.spectral_decomposition(rho.entries).eigenvectors
+        rho = hs_random_density(4, seed=4)
+        _, v = qt.spectral_decomposition(rho.entries)
         assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-9

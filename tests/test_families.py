@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import qthresh as qt
-from qthresh.errors import InvalidDimension, InvalidParameter, NotProbabilityVector
+from qthresh.errors import ValidationError
 
 from oracles import (
     bell_basis,
     canonical_phi,
+    extremal_weights,
     fef_bell_diagonal_exact,
     phi_projector_state,
 )
@@ -36,15 +37,15 @@ class TestWernerConstruction:
                 qt.validate_density(rho.entries, n)
 
     def test_rejects_bad_epsilon(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(ValidationError, match="epsilon must lie in"):
             qt.WernerParams(2, 1.2)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(ValidationError, match="epsilon must lie in"):
             qt.WernerParams(2, -0.1)
 
     def test_rejects_bad_dimension(self):
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(ValidationError, match="local dimension"):
             qt.WernerParams(1, 0.5)
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(ValidationError, match="local dimension"):
             qt.WernerParams(3.0, 0.5)
 
 
@@ -121,22 +122,34 @@ class TestBellDiagonalConstructor:
 
     @pytest.mark.parametrize("n", [2.0, 1])
     def test_rejects_bad_dimension(self, n):
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(ValidationError, match="local dimension"):
             qt.bell_diagonal(n, [1.0] + [0.0] * (int(n * n) - 1))
 
     def test_rejects_non_probability(self):
-        with pytest.raises(NotProbabilityVector):
+        with pytest.raises(ValidationError, match="negative weight"):
             qt.bell_diagonal(2, [0.5, 0.5, 0.5, -0.5])
-        with pytest.raises(NotProbabilityVector):
+        with pytest.raises(ValidationError, match="weights sum to"):
             qt.bell_diagonal(2, [0.3, 0.3, 0.3, 0.3])
-        with pytest.raises(NotProbabilityVector):
+        with pytest.raises(ValidationError, match="expected 4 weights"):
             qt.bell_diagonal(2, [0.5, 0.5])
 
 
 class TestExtremalState:
     def test_weights_n2(self):
         np.testing.assert_allclose(
-            qt.extremal_threshold_weights(2), [0.5, 1 / 6, 1 / 6, 1 / 6], atol=1e-15
+            qt.bell_diagonal_coeffs(qt.extremal_threshold_state(2)),
+            [0.5, 1 / 6, 1 / 6, 1 / 6],
+            rtol=0, atol=1e-15,
+        )
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_basis_mixture_of_oracle_weights(self, n):
+        # built as the Werner state at epsilon = 1/(N+1), it is the
+        # basis-diagonal state with weight 1/N on |Phi> and the rest uniform
+        np.testing.assert_allclose(
+            qt.extremal_threshold_state(n).entries,
+            qt.bell_diagonal(n, extremal_weights(n)).entries,
+            rtol=0, atol=1e-15,
         )
 
     def test_entropy_n2(self):
@@ -156,7 +169,7 @@ class TestExtremalState:
         assert abs(
             qt.linear_entropy(rho) - qt.teleport_threshold_linear(n)
         ) <= 1e-12
-        value, _ = fef_bell_diagonal_exact(qt.extremal_threshold_weights(n))
+        value, _ = fef_bell_diagonal_exact(extremal_weights(n))
         assert value == 1.0 / n
 
     @pytest.mark.parametrize(
@@ -170,8 +183,8 @@ class TestExtremalState:
         ],
     )
     def test_rejects_bad_dimension(self, n):
-        with pytest.raises(InvalidDimension):
-            qt.extremal_threshold_weights(n)
+        with pytest.raises(ValidationError, match="local dimension"):
+            qt.extremal_threshold_state(n)
 
     def test_linear_entropy_n2_exact(self):
         # purity 1/4 + 3*(1/6)^2 = 1/3 by hand
@@ -187,7 +200,7 @@ class TestCriticalEpsilons:
 
     @pytest.mark.parametrize("n", [1, 3.0, True])
     def test_rejects_bad_dimension(self, n):
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(ValidationError, match="local dimension"):
             qt.critical_epsilons(n)
 
     def test_teleport_marker_matches_closed_form(self):

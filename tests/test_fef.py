@@ -4,13 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 import qthresh as qt
 from qthresh import fef
-from qthresh.errors import InvalidParameter, NotProbabilityVector
+from qthresh.errors import ValidationError
 from qthresh.fef import _ascend, _spectral_start
+from qthresh.sampling import high_entropy_density, hs_random_density
 
 from oracles import (
+    antisymmetric_werner,
     fef_bell_diagonal_exact,
     fef_bruteforce_n2,
     fef_objective,
+    ginibre_density,
     maximally_mixed,
     phi_projector_state,
     tensor,
@@ -44,15 +47,15 @@ class TestBellDiagonalExact:
         assert value == pytest.approx(0.6) and index == 2
 
     def test_rejects_negative(self):
-        with pytest.raises(NotProbabilityVector):
+        with pytest.raises(ValidationError, match="negative weight"):
             fef_bell_diagonal_exact([0.7, 0.4, -0.1, 0.0])
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(NotProbabilityVector):
+        with pytest.raises(ValidationError, match="weights sum to"):
             fef_bell_diagonal_exact([0.5, 0.5, 0.5, 0.5])
 
     def test_rejects_matrix(self):
-        with pytest.raises(NotProbabilityVector):
+        with pytest.raises(ValidationError, match="expected a vector"):
             fef_bell_diagonal_exact(np.eye(2) / 2)
 
 
@@ -63,7 +66,7 @@ class TestOptimizerConfig:
         assert fef.STEP_TOL == 1e-10 and cfg.seed == 0
 
     def test_rejects_bad_values(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(ValidationError, match="restarts must be >= 1"):
             qt.OptimizerConfig(restarts=0)
 
 
@@ -86,7 +89,7 @@ class TestLowerBound:
         assert bounds.lower == pytest.approx(0.7, abs=1e-6)
 
     def test_lower_recomputable_from_unitary(self):
-        rho = qt.hs_random_density(4, 4, seed=8)
+        rho = hs_random_density(4, seed=8)
         bounds = qt.fef_certified(rho)
         assert fef_objective(rho, bounds.best_unitary) == pytest.approx(
             bounds.lower, abs=1e-10
@@ -130,7 +133,7 @@ class TestCertified:
 
     def test_sandwich_and_ranges(self):
         for seed in range(20):
-            rho = qt.hs_random_density(4, 4, seed=seed)
+            rho = hs_random_density(4, seed=seed)
             bounds = qt.fef_certified(rho)
             assert bounds.lower <= bounds.upper + 1e-9
             assert -1e-12 <= bounds.lower <= 1 + 1e-12
@@ -139,7 +142,7 @@ class TestCertified:
 
     def test_oracle_agreement_on_random_states(self):
         for seed in (11, 12, 13):
-            rho = qt.hs_random_density(4, 4, seed=seed)
+            rho = hs_random_density(4, seed=seed)
             opt = qt.fef_certified(rho).lower
             oracle = fef_bruteforce_n2(rho.entries)
             assert opt == pytest.approx(oracle, abs=1e-6)
@@ -159,7 +162,7 @@ class TestCertified:
     def test_local_unitary_invariance(self):
         for n, count in ((2, 8), (3, 4)):
             for i in range(count):
-                rho = qt.hs_random_density(n * n, n * n, seed=100 + i)
+                rho = hs_random_density(n * n, seed=100 + i)
                 v = qt.haar_unitary(n, seed=200 + i)
                 w = qt.haar_unitary(n, seed=300 + i)
                 vw = tensor(v, w)
@@ -169,7 +172,7 @@ class TestCertified:
                 )
 
     def test_determinism(self):
-        rho = qt.hs_random_density(9, 9, seed=21)
+        rho = hs_random_density(9, seed=21)
         cfg = qt.OptimizerConfig(restarts=6, seed=42)
         a = qt.fef_certified(rho, cfg)
         b = qt.fef_certified(rho, cfg)
@@ -182,8 +185,8 @@ class TestCertified:
         # the unshifted step on an HS state and the shifted step (mu =
         # lambda_min, as fef_certified runs it) on a nearly mixed state
         for rho, shifted in (
-            (qt.hs_random_density(4, 4, seed=33), False),
-            (qt.high_entropy_density(3, 0.9, seed=33), True),
+            (hs_random_density(4, seed=33), False),
+            (high_entropy_density(3, 0.9, seed=33), True),
         ):
             n = rho.n
             shift = float(np.linalg.eigvalsh(rho.entries)[0]) if shifted else 0.0
@@ -203,10 +206,34 @@ class TestCertified:
             assert np.diff(history, axis=0).min() >= -1e-12
 
     def test_best_unitary_is_unitary(self):
-        rho = qt.hs_random_density(9, 9, seed=5)
+        rho = hs_random_density(9, seed=5)
         u = qt.fef_certified(rho).best_unitary
         assert np.abs(u @ u.conj().T - np.eye(3)).max() < 1e-12
 
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_werner_witness_is_identity(self, n):
+        # the optimum e^{i theta} I of a Werner state, with its phase fixed
+        u = qt.fef_certified(qt.werner(qt.WernerParams(n, 0.5))).best_unitary
+        assert np.abs(u - np.eye(n)).max() <= 1e-9
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            hs_random_density(4, seed=14),
+            hs_random_density(9, seed=14),
+            hs_random_density(25, seed=14),
+            # |s_10><s_10| at N = 3: its optimum X has trace 0
+            qt.bell_diagonal(3, np.eye(9)[3]),
+        ],
+        ids=["hs2", "hs3", "hs5", "s10"],
+    )
+    def test_witness_phase_is_fixed(self, rho):
+        bounds = qt.fef_certified(rho)
+        row = bounds.best_unitary[0]
+        first = row[np.flatnonzero(np.abs(row) >= 0.5 / np.sqrt(rho.n))[0]]
+        assert first.imag == 0.0 and first.real > 0.0
+        assert abs(fef_objective(rho, bounds.best_unitary) - bounds.lower) <= 1e-12
 
     def test_converged_follows_winning_restart(self, monkeypatch):
         # the winning restart (index 0) is still moving; the last one stopped
@@ -218,7 +245,7 @@ class TestCertified:
             return starts, f, np.ones(b, dtype=np.int64), last_delta
 
         monkeypatch.setattr(fef, "_ascend", fake_ascend)
-        bounds = qt.fef_certified(qt.hs_random_density(9, 9, seed=4))
+        bounds = qt.fef_certified(hs_random_density(9, seed=4))
         assert bounds.gap > fef.GAP_TOL
         assert bounds.converged is False
 
@@ -228,7 +255,7 @@ class TestTwoQubitExact:
 
     def test_matches_bruteforce_oracle(self):
         for seed in (40, 41, 42, 43):
-            rho = qt.hs_random_density(4, 4, seed=seed)
+            rho = hs_random_density(4, seed=seed)
             assert qt.fef_certified(rho).lower == pytest.approx(
                 fef_bruteforce_n2(rho.entries), abs=1e-4
             )
@@ -236,7 +263,7 @@ class TestTwoQubitExact:
     def test_dominates_and_matches_direct_ascent(self):
         haar = [qt.haar_unitary(2, seed=r) for r in range(16)]
         for seed in range(200):
-            rho = qt.hs_random_density(4, 4, seed=1000 + seed)
+            rho = hs_random_density(4, seed=1000 + seed)
             starts = np.stack([_spectral_start(top_vector(rho), 2)] + haar)
             _, f, _, _ = _ascend(rho.entries, 2, starts, 500, 1e-10, 0.0)
             ascent = float(f.max())
@@ -250,8 +277,8 @@ class TestTwoQubitExact:
             phi_projector_state(2),
             maximally_mixed(2),
             qt.extremal_threshold_state(2),
-            qt.hs_random_density(4, 1, seed=3),
-            qt.hs_random_density(4, 4, seed=3),
+            ginibre_density(4, 1, seed=3),
+            hs_random_density(4, seed=3),
         ],
         ids=["phi", "maximally_mixed", "extremal", "pure", "hs"],
     )
@@ -262,7 +289,7 @@ class TestTwoQubitExact:
         assert abs(fef_objective(rho, u) - bounds.lower) < 1e-12
 
     def test_no_search_and_closed_gap(self):
-        rho = qt.hs_random_density(4, 4, seed=9)
+        rho = hs_random_density(4, seed=9)
         certified = qt.fef_certified(rho)
         assert certified.upper == certified.lower
         assert certified.converged is True
@@ -276,14 +303,14 @@ class TestTwoQubitProperties:
     @settings(derandomize=True)
     @given(seed=_SEEDS, rank=st.integers(min_value=1, max_value=4))
     def test_below_top_eigenvalue(self, seed, rank):
-        rho = qt.hs_random_density(4, rank, seed=seed)
+        rho = ginibre_density(4, rank, seed=seed)
         lower = qt.fef_certified(rho).lower
         assert lower <= np.linalg.eigvalsh(rho.entries)[-1] + 1e-12
 
     @settings(derandomize=True)
     @given(seed=_SEEDS, v_seed=_SEEDS, w_seed=_SEEDS)
     def test_local_unitary_invariance(self, seed, v_seed, w_seed):
-        rho = qt.hs_random_density(4, 4, seed=seed)
+        rho = hs_random_density(4, seed=seed)
         vw = tensor(qt.haar_unitary(2, seed=v_seed), qt.haar_unitary(2, seed=w_seed))
         rotated = qt.validate_density(vw @ rho.entries @ vw.conj().T, 2)
         assert abs(
@@ -304,7 +331,7 @@ class TestTwoQubitProperties:
     @settings(derandomize=True)
     @given(seed=_SEEDS, rank=st.integers(min_value=1, max_value=4))
     def test_certified_gap_is_zero(self, seed, rank):
-        assert qt.fef_certified(qt.hs_random_density(4, rank, seed=seed)).gap == 0
+        assert qt.fef_certified(ginibre_density(4, rank, seed=seed)).gap == 0
 
 
 _BELL_WEIGHTS = st.integers(min_value=3, max_value=5).flatmap(
@@ -326,7 +353,7 @@ class TestPowerStep:
             return polar(batch)
 
         monkeypatch.setattr(fef, "_polar", counting_polar)
-        rho = qt.hs_random_density(9, 9, seed=2)
+        rho = hs_random_density(9, seed=2)
         starts = np.stack([qt.haar_unitary(3, seed=r) for r in range(5)])
         iterations = _ascend(rho.entries, 3, starts, 500, 1e-10, 0.0)[2]
         assert len(calls) == int(iterations.max())
@@ -366,7 +393,7 @@ class TestPowerStep:
         # (U (x) U*)|Phi> = |Phi>, so the rotation maps maximally entangled
         # states onto maximally entangled states and leaves F unchanged
         for i in range(20):
-            rho = qt.hs_random_density(9, 9, seed=500 + i)
+            rho = hs_random_density(9, seed=500 + i)
             u = qt.haar_unitary(3, seed=600 + i)
             uu = tensor(u, u.conj())
             rotated = qt.validate_density(uu @ rho.entries @ uu.conj().T, 3)
@@ -396,7 +423,7 @@ class TestSpectralShift:
         # step on the mixture is the same step scaled by 1 - t
         d = n * n
         for seed in range(10):
-            rho = qt.hs_random_density(d, d, seed=seed)
+            rho = hs_random_density(d, seed=seed)
             base = qt.fef_certified(rho)
             for t in (0.5, 0.9, 0.99):
                 mixed = qt.DensityMatrix(n, (1 - t) * rho.entries + t * np.eye(d) / d)
@@ -413,7 +440,7 @@ class TestSpectralShift:
         assert np.mean(totals) <= 1200
 
     def test_one_eigendecomposition_per_call(self, monkeypatch):
-        states = [qt.hs_random_density(n * n, n * n, seed=n) for n in (3, 4, 5)]
+        states = [hs_random_density(n * n, seed=n) for n in (3, 4, 5)]
         states += [qt.werner(qt.WernerParams(3, 0.5)), qt.extremal_threshold_state(4)]
         eigh = np.linalg.eigh
         calls = []
@@ -448,3 +475,14 @@ class TestTeleportVerdict:
     def test_extremal_state_undecided(self):
         bounds = qt.fef_certified(qt.extremal_threshold_state(2))
         assert qt.usable_for_teleportation(bounds, 2) is qt.TeleportVerdict.UNDECIDED
+
+    def test_antisymmetric_werner_n3_undecided(self):
+        # P_a/3 at N = 3: the search attains 2/9 and lambda_max is 1/3.  The
+        # relaxation max Tr(rho X) over X >= 0 with both marginals I/N is
+        # 1/3 here too (X = P_a/3 is feasible), so no upper bound from its
+        # dual can decide this state: it stays Undecided.
+        rho = antisymmetric_werner(3)
+        bounds = qt.fef_certified(rho)
+        assert abs(bounds.lower - 2 / 9) <= 1e-9
+        assert abs(bounds.upper - 1 / 3) <= 1e-12
+        assert qt.usable_for_teleportation(bounds, 3) is qt.TeleportVerdict.UNDECIDED

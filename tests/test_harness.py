@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import qthresh as qt
-from qthresh.errors import DimensionMismatch, InvalidParameter, TheoremViolation
+from qthresh.errors import TheoremViolation, ValidationError
 from qthresh.reports import CSV_HEADER
+from qthresh.sampling import hs_random_density
 
 from oracles import maximally_mixed, phi_projector_state
 
@@ -37,19 +38,39 @@ class TestAnalyze:
         assert report.s_vn == pytest.approx(1.7924813, abs=1e-6)
         assert report.teleport_verdict is qt.TeleportVerdict.UNDECIDED
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_extremal_state_is_at_the_threshold(self, tmp_path, n):
+        # S = T exactly, so rounding must not pick a side
+        path = tmp_path / "extremal.json"
+        qt.save_state(qt.extremal_threshold_state(n), path)
+        report = qt.analyze_rho(qt.load_state(path))
+        assert report.entropy_verdict_teleport is qt.EntropyVerdict.AT
+        assert report.entropy_verdict_densecoding is qt.EntropyVerdict.ABOVE
+
+    def test_densecoding_verdict_at_threshold(self):
+        # two equal weights in the maximally entangled basis: S = 1 = log2 2
+        report = qt.analyze_rho(qt.bell_diagonal(2, [0.5, 0.5, 0.0, 0.0]))
+        assert report.entropy_verdict_densecoding is qt.EntropyVerdict.AT
+        assert report.entropy_verdict_teleport is qt.EntropyVerdict.BELOW
+
     def test_report_internal_consistency(self):
         for seed in range(8):
-            rho = qt.hs_random_density(4, 4, seed=seed)
+            rho = hs_random_density(4, seed=seed)
             report = qt.analyze_rho(rho)
             assert report.fef_lower <= report.fef_upper + 1e-9
             assert report.s_linear <= 1 - 1 / report.n**2 + 1e-12
-            # verdicts recomputable from the numeric fields
-            assert (report.entropy_verdict_teleport is qt.EntropyVerdict.ABOVE) == (
-                report.s_vn > report.t_vn
-            )
-            assert (
-                report.entropy_verdict_densecoding is qt.EntropyVerdict.ABOVE
-            ) == (report.s_vn > report.densecoding_t)
+            # verdicts recomputable from the numeric fields: a side only
+            # beyond the 1e-9 margin, on the threshold within it
+            for verdict, threshold in (
+                (report.entropy_verdict_teleport, report.t_vn),
+                (report.entropy_verdict_densecoding, report.densecoding_t),
+            ):
+                assert (verdict is qt.EntropyVerdict.ABOVE) == (
+                    report.s_vn > threshold + 1e-9
+                )
+                assert (verdict is qt.EntropyVerdict.BELOW) == (
+                    report.s_vn < threshold - 1e-9
+                )
             if report.teleport_verdict is qt.TeleportVerdict.USABLE_CERTIFIED:
                 assert report.fef_lower > 1 / report.n + 1e-9
             if report.teleport_verdict is qt.TeleportVerdict.USELESS_CERTIFIED:
@@ -83,13 +104,13 @@ class TestVerifyTheorem:
         assert summary.s_above_f_above + summary.s_above_f_below >= 45
 
     def test_sampler_dimension_checked(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="does not match bipartite N=2"):
             qt.verify_theorem(
                 2, 10, qt.SamplerSpec(kind="hilbert_schmidt", dim=9, seed=0)
             )
 
     def test_rejects_zero_samples(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(ValidationError, match="samples must be >= 1"):
             qt.verify_theorem(2, 0)
 
     @pytest.mark.parametrize(
@@ -134,7 +155,7 @@ class TestVerifyTheorem:
         message = str(info.value)
         index = int(re.match(r"sample (\d+):", message).group(1))
         assert (
-            "replay: sample(SamplerSpec(kind='high_entropy', dim=4, rank=None, "
+            "replay: sample(SamplerSpec(kind='high_entropy', dim=4, "
             f"mix_toward_identity=0.9, seed=7), {index}) under OptimizerConfig("
             "restarts=3, seed=42)"
         ) in message
@@ -201,5 +222,5 @@ class TestWernerSweep:
             assert int(fields[7]) == int(row.above_t_dc)
 
     def test_rejects_single_point(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(ValidationError, match="grid_points must be >= 2"):
             qt.sweep_werner(2, 1)

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 import qthresh as qt
-from qthresh.errors import DimensionMismatch, InvalidParameter
+from qthresh.errors import ValidationError
+from qthresh.sampling import hs_random_density
 from oracles import (
     _channel_transfer_matrix,
     densecoding_ensemble,
     densecoding_holevo,
     haar_pure,
     maximally_mixed,
+    partial_trace_second,
     phi_projector_state,
     rotate_first_factor,
     teleportation_channel_apply,
@@ -43,20 +45,20 @@ class TestTeleportationChannel:
     def test_trace_preserving_on_random_pairs(self):
         for n in (2, 3):
             for i in range(50):
-                resource = qt.hs_random_density(n * n, n * n, seed=1000 + i)
+                resource = hs_random_density(n * n, seed=1000 + i)
                 psi = haar_pure(n, seed=2000 + i)
                 out = teleportation_channel_apply(resource, psi)
                 assert abs(float(np.trace(out).real) - 1.0) < 1e-9
                 assert np.abs(out - out.conj().T).max() < 1e-9
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="resource expects"):
             teleportation_channel_apply(
                 maximally_mixed(3), haar_pure(2, seed=0)
             )
 
     def test_transfer_matrix_matches_direct_application(self):
-        resource = qt.hs_random_density(4, 4, seed=17)
+        resource = hs_random_density(4, seed=17)
         transfer = _channel_transfer_matrix(resource)
         psi = haar_pure(2, seed=18)
         direct = teleportation_channel_apply(resource, psi)
@@ -126,14 +128,14 @@ class TestMonteCarloFidelity:
         assert a.f_avg_mc == b.f_avg_mc and a.mc_std_error == b.mc_std_error
 
     def test_rejects_tiny_sample_counts(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(ValidationError, match="n_samples must be >= 100"):
             qt.teleportation_avg_fidelity_mc(maximally_mixed(2), 50)
 
 
 def weyl_test_resources(n):
     rng = np.random.default_rng(100 + n)
     return {
-        "hs": qt.hs_random_density(n * n, n * n, seed=n),
+        "hs": hs_random_density(n * n, seed=n),
         "werner": qt.werner(qt.WernerParams(n, 0.4)),
         "bell_diagonal": qt.bell_diagonal(n, rng.dirichlet(np.ones(n * n))),
         "extremal": qt.extremal_threshold_state(n),
@@ -167,7 +169,7 @@ class TestWeylChannelFidelity:
 
     @pytest.mark.parametrize("n, n_samples", [(2, 40_000), (3, 21_966), (4, 10_000)])
     def test_chunked_estimator_matches_transfer_matrix(self, n, n_samples):
-        rho = qt.hs_random_density(n * n, n * n, seed=30 + n)
+        rho = hs_random_density(n * n, seed=30 + n)
         transfer = _channel_transfer_matrix(rho)
         chunk = _MC_CHUNK_ENTRIES // (n * n)
         assert n_samples > 2 * chunk and n_samples % chunk
@@ -187,7 +189,7 @@ class TestWeylChannelFidelity:
 
     @pytest.mark.parametrize("n_samples", [100_000, 400_000])
     def test_memory_does_not_grow_with_samples(self, n_samples):
-        rho = qt.hs_random_density(64, 64, seed=5)
+        rho = hs_random_density(64, seed=5)
         tracemalloc.start()
         try:
             qt.teleportation_avg_fidelity_mc(rho, n_samples, seed=0)
@@ -198,7 +200,7 @@ class TestWeylChannelFidelity:
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_memory_stays_within_one_workspace(self, n):
-        rho = qt.hs_random_density(n * n, n * n, seed=5)
+        rho = hs_random_density(n * n, seed=5)
         tracemalloc.start()
         try:
             qt.teleportation_avg_fidelity_mc(rho, 100_000, seed=0)
@@ -209,7 +211,7 @@ class TestWeylChannelFidelity:
 
     def test_page_faults_do_not_grow_with_samples(self):
         resource = pytest.importorskip("resource")
-        rho = qt.hs_random_density(64, 64, seed=5)
+        rho = hs_random_density(64, seed=5)
 
         def faults(n_samples):
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -231,7 +233,7 @@ class TestRotationRecipe:
         )
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="unitary must be 2 x 2"):
             rotate_first_factor(maximally_mixed(2), np.eye(3))
 
 
@@ -256,7 +258,7 @@ class TestDenseCodingEnsemble:
 
     def test_average_first_marginal_maximally_mixed(self):
         for seed in range(5):
-            rho = qt.hs_random_density(4, 4, seed=seed)
+            rho = hs_random_density(4, seed=seed)
             ensemble = densecoding_ensemble(rho)
             avg = sum(
                 p * sig.entries
@@ -264,10 +266,10 @@ class TestDenseCodingEnsemble:
             )
             avg_state = qt.DensityMatrix(2, avg)
             np.testing.assert_allclose(
-                qt.partial_trace(avg_state, "second"), np.eye(2) / 2, atol=1e-10
+                partial_trace_second(avg_state), np.eye(2) / 2, atol=1e-10
             )
             # the twirl leaves exactly I/N (x) Tr_first(rho)
-            expected = tensor(np.eye(2) / 2, qt.partial_trace(rho, "first"))
+            expected = tensor(np.eye(2) / 2, qt.partial_trace(rho))
             np.testing.assert_allclose(avg, expected, atol=1e-10)
 
     def test_average_entropy_for_basis_diagonal_states(self):
@@ -309,14 +311,14 @@ class TestHolevo:
     def test_standard_fast_path_matches_ensemble(self):
         for n in (2, 3):
             for seed in range(5):
-                rho = qt.hs_random_density(n * n, n * n, seed=seed)
+                rho = hs_random_density(n * n, seed=seed)
                 via_ensemble = densecoding_holevo(densecoding_ensemble(rho))
                 via_identity = qt.densecoding_chi_standard(rho)
                 assert via_ensemble == pytest.approx(via_identity, abs=1e-9)
 
     def test_nonnegative_and_bounded(self):
         for seed in range(10):
-            rho = qt.hs_random_density(4, 4, seed=seed)
+            rho = hs_random_density(4, seed=seed)
             chi = qt.densecoding_chi_standard(rho)
             assert chi >= -1e-9
             assert chi <= 2.0 - qt.von_neumann_entropy(rho) + 1e-9

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 import qthresh as qt
-from qthresh.errors import (
-    InvalidDimension,
-    InvalidParameter,
-    InvalidRank,
-)
+from qthresh.errors import ValidationError
+from qthresh.sampling import high_entropy_density, hs_random_density
 
-from oracles import haar_pure
+from oracles import ginibre_density, haar_pure
 
 
 class TestHaarUnitary:
@@ -59,17 +56,26 @@ class TestHaarPure:
 class TestHSRandomDensity:
     def test_validates(self):
         for seed in range(20):
-            rho = qt.hs_random_density(9, 9, seed=seed)
+            rho = hs_random_density(9, seed=seed)
             qt.validate_density(rho.entries, 3)
 
     def test_rank_one_is_pure(self):
-        rho = qt.hs_random_density(4, 1, seed=6)
+        # the oracle's low-rank draws, used by the fef property tests
+        rho = ginibre_density(4, 1, seed=6)
         assert qt.von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dim", [4, 9, 16])
+    def test_full_rank_oracle_draw_is_bit_identical(self, dim):
+        for seed in range(5):
+            np.testing.assert_array_equal(
+                ginibre_density(dim, dim, seed=seed).entries,
+                hs_random_density(dim, seed=seed).entries,
+            )
 
     def test_determinism(self):
         np.testing.assert_array_equal(
-            qt.hs_random_density(4, 4, seed=5).entries,
-            qt.hs_random_density(4, 4, seed=5).entries,
+            hs_random_density(4, seed=5).entries,
+            hs_random_density(4, seed=5).entries,
         )
 
     @pytest.mark.parametrize("dim,draws", [(4, 10_000), (9, 3_000)])
@@ -77,7 +83,7 @@ class TestHSRandomDensity:
         # Hilbert-Schmidt mean purity is 2d/(d^2+1)
         purities = np.array(
             [
-                1.0 - qt.linear_entropy(qt.hs_random_density(dim, dim, seed=s))
+                1.0 - qt.linear_entropy(hs_random_density(dim, seed=s))
                 for s in range(draws)
             ]
         )
@@ -85,37 +91,31 @@ class TestHSRandomDensity:
         stderr = purities.std(ddof=1) / np.sqrt(draws)
         assert abs(purities.mean() - expected) < 5 * stderr
 
-    def test_rejects_bad_rank(self):
-        with pytest.raises(InvalidRank):
-            qt.hs_random_density(4, 0, seed=0)
-        with pytest.raises(InvalidRank):
-            qt.hs_random_density(4, 5, seed=0)
-
     def test_rejects_non_square_dim(self):
-        with pytest.raises(InvalidDimension):
-            qt.hs_random_density(5, 5, seed=0)
+        with pytest.raises(ValidationError, match="perfect square"):
+            hs_random_density(5, seed=0)
 
 
 class TestHighEntropyDensity:
     def test_mix_one_is_maximally_mixed(self):
-        rho = qt.high_entropy_density(2, 1.0, seed=3)
+        rho = high_entropy_density(2, 1.0, seed=3)
         np.testing.assert_allclose(rho.entries, np.eye(4) / 4, atol=1e-12)
 
     def test_mix_zero_matches_plain_hs(self):
-        a = qt.high_entropy_density(2, 0.0, seed=11)
-        b = qt.hs_random_density(4, 4, seed=11)
+        a = high_entropy_density(2, 0.0, seed=11)
+        b = hs_random_density(4, seed=11)
         np.testing.assert_allclose(a.entries, b.entries, atol=1e-15)
 
     def test_rejects_bad_mix(self):
-        with pytest.raises(InvalidParameter):
-            qt.high_entropy_density(2, 1.5, seed=0)
+        with pytest.raises(ValidationError, match="mix must lie in"):
+            high_entropy_density(2, 1.5, seed=0)
 
     def test_calibration_fraction_above_threshold(self):
         # regression value: at n=2, mix=0.9 nearly every draw lands above
         # the teleportation threshold
         threshold = qt.teleport_threshold_vn(2)
         above = sum(
-            qt.von_neumann_entropy(qt.high_entropy_density(2, 0.9, seed=s))
+            qt.von_neumann_entropy(high_entropy_density(2, 0.9, seed=s))
             > threshold
             for s in range(1000)
         )
@@ -124,15 +124,11 @@ class TestHighEntropyDensity:
 
 class TestSamplerSpec:
     def test_rejects_unknown_kind(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(ValidationError, match="unknown sampler kind"):
             qt.SamplerSpec(kind="bures", dim=4)
 
-    def test_rejects_bad_rank(self):
-        with pytest.raises(InvalidRank):
-            qt.SamplerSpec(kind="rank_limited", dim=4, rank=9)
-
     def test_rejects_bad_mix(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(ValidationError, match="mix_toward_identity must lie in"):
             qt.SamplerSpec(kind="high_entropy", dim=4, mix_toward_identity=2.0)
 
     def test_sample_dispatch(self):
@@ -140,10 +136,6 @@ class TestSamplerSpec:
             qt.sample(qt.SamplerSpec(kind="hilbert_schmidt", dim=4, seed=1)),
             qt.DensityMatrix,
         )
-        rho = qt.sample(
-            qt.SamplerSpec(kind="rank_limited", dim=4, rank=1, seed=1), index=2
-        )
-        assert qt.von_neumann_entropy(rho) < 1e-9
         rho = qt.sample(
             qt.SamplerSpec(kind="high_entropy", dim=4, mix_toward_identity=0.5, seed=1)
         )
@@ -157,18 +149,14 @@ class TestSamplerSpec:
         c = qt.sample(spec, index=8)
         assert not np.allclose(a.entries, c.entries)
 
-    def test_rank_limited_requires_rank(self):
-        with pytest.raises(InvalidRank):
-            qt.SamplerSpec(kind="rank_limited", dim=4, seed=0)
-
     def test_high_entropy_requires_mix(self):
-        with pytest.raises(InvalidParameter, match="mix_toward_identity"):
+        with pytest.raises(ValidationError, match="requires mix_toward_identity"):
             qt.SamplerSpec(kind="high_entropy", dim=4, seed=0)
 
-    @pytest.mark.parametrize("kind", ["hilbert_schmidt", "rank_limited", "high_entropy"])
+    @pytest.mark.parametrize("kind", ["hilbert_schmidt", "high_entropy"])
     def test_density_kinds_need_square_dim(self, kind):
-        with pytest.raises(InvalidDimension, match="perfect square"):
-            qt.SamplerSpec(kind=kind, dim=5, rank=1, mix_toward_identity=0.5)
+        with pytest.raises(ValidationError, match="perfect square"):
+            qt.SamplerSpec(kind=kind, dim=5, mix_toward_identity=0.5)
 
     @pytest.mark.parametrize(
         "seed",
@@ -176,28 +164,20 @@ class TestSamplerSpec:
         ids=["seed_sequence", "generator", "float", "str"],
     )
     def test_rejects_non_integer_seed(self, seed):
-        with pytest.raises(InvalidParameter, match="must be an integer"):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
             qt.SamplerSpec(kind="hilbert_schmidt", dim=4, seed=seed)
 
     @pytest.mark.parametrize(
         "dim", [4.0, True, np.float64(9.0)], ids=["float", "bool", "np_float64"]
     )
     def test_rejects_non_integer_dim(self, dim):
-        with pytest.raises(InvalidDimension, match="perfect square"):
+        with pytest.raises(ValidationError, match="perfect square"):
             qt.SamplerSpec(kind="hilbert_schmidt", dim=dim)
 
-    @pytest.mark.parametrize(
-        "rank", [1.5, 2.0, True, np.bool_(True)],
-        ids=["float", "integral_float", "bool", "np_bool"],
-    )
-    def test_rejects_non_integer_rank(self, rank):
-        with pytest.raises(InvalidRank, match="must be an integer"):
-            qt.SamplerSpec(kind="rank_limited", dim=4, rank=rank)
-
-    def test_numpy_integer_dim_and_rank_stored_as_int(self):
-        spec = qt.SamplerSpec(kind="rank_limited", dim=np.int64(4), rank=np.int32(2))
-        assert type(spec.dim) is int and type(spec.rank) is int
-        assert spec == qt.SamplerSpec(kind="rank_limited", dim=4, rank=2)
+    def test_numpy_integer_dim_stored_as_int(self):
+        spec = qt.SamplerSpec(kind="hilbert_schmidt", dim=np.int64(4))
+        assert type(spec.dim) is int
+        assert spec == qt.SamplerSpec(kind="hilbert_schmidt", dim=4)
 
     def test_numpy_integer_seed_matches_int(self):
         spec = qt.SamplerSpec(kind="hilbert_schmidt", dim=4, seed=np.int64(5))
@@ -213,6 +193,6 @@ class TestSamplerSpec:
         np.testing.assert_array_equal(
             qt.haar_unitary(3, seq), qt.haar_unitary(3, np.random.SeedSequence(4))
         )
-        rho = qt.hs_random_density(4, seed=np.random.default_rng(4))
+        rho = hs_random_density(4, seed=np.random.default_rng(4))
         result = qt.teleportation_avg_fidelity_mc(rho, 100, seed=np.random.SeedSequence(4))
         assert result.n_samples == 100

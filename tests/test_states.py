@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 
 import qthresh as qt
-from qthresh.errors import (
-    DimensionMismatch,
-    InvalidDimension,
-    NotHermitian,
-    NotPSD,
-    ParseError,
-    TraceNotOne,
-)
+from qthresh.errors import ValidationError
+from qthresh.sampling import hs_random_density
+from qthresh.states import state_from_dict
 
 from oracles import (
     basis_weights,
     bell_basis,
     canonical_phi,
     maximally_mixed,
+    partial_trace_second,
     phi_projector_state,
     tensor,
     weyl_operator,
@@ -31,21 +27,21 @@ class TestValidateDensity:
         np.testing.assert_allclose(rho.entries, np.eye(4) / 4)
 
     def test_not_psd(self):
-        with pytest.raises(NotPSD, match="-?0?\\.?0?5"):
+        with pytest.raises(ValidationError, match="minimum eigenvalue -?0?\\.?0?5"):
             qt.validate_density(np.diag([0.55, 0.5, 0.0, -0.05]), 2)
 
     def test_trace_not_one(self):
-        with pytest.raises(TraceNotOne):
+        with pytest.raises(ValidationError, match="trace - 1"):
             qt.validate_density(np.diag([0.5, 0.6, 0.0, 0.0]), 2)
 
     def test_wrong_shape(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="expected shape"):
             qt.validate_density(np.eye(3) / 3, 2)
 
     def test_not_hermitian(self):
         mat = np.eye(4, dtype=complex) / 4
         mat[0, 1] = 0.1
-        with pytest.raises(NotHermitian):
+        with pytest.raises(ValidationError, match="M - M\\^dagger"):
             qt.validate_density(mat, 2)
 
     def test_symmetrizes_small_asymmetry(self):
@@ -61,7 +57,7 @@ class TestValidateDensity:
         np.testing.assert_array_equal(mat, copy)
 
     def test_invalid_dimension(self):
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(ValidationError, match="local dimension"):
             qt.validate_density(np.eye(1), 1)
 
 
@@ -93,7 +89,7 @@ class TestConstructors:
         )
 
     def test_maximally_mixed_rejects_n1(self):
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(ValidationError, match="local dimension"):
             maximally_mixed(1)
 
     def test_canonical_phi_n2(self):
@@ -200,7 +196,7 @@ class TestBellDiagonalCoeffs:
 
     def test_random_states_give_probability_vector(self):
         for seed in range(20):
-            rho = qt.hs_random_density(4, 4, seed=seed)
+            rho = hs_random_density(4, seed=seed)
             c = qt.bell_diagonal_coeffs(rho)
             assert c.min() > -1e-9
             assert c.max() < 1 + 1e-9
@@ -210,7 +206,7 @@ class TestBellDiagonalCoeffs:
     def test_matches_literal_basis_weights(self, n):
         basis = bell_basis(canonical_phi(n))
         for seed in range(5):
-            rho = qt.hs_random_density(n * n, n * n, seed=100 * n + seed)
+            rho = hs_random_density(n * n, seed=100 * n + seed)
             np.testing.assert_allclose(
                 qt.bell_diagonal_coeffs(rho), basis_weights(rho, basis),
                 rtol=0, atol=1e-14,
@@ -235,36 +231,31 @@ class TestTensorAndPartialTrace:
         np.testing.assert_allclose(tensor(a, b), np.diag([1.0, 1.0, 2.0, 2.0]))
 
     def test_tensor_rejects_vectors(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="tensor expects two matrices"):
             tensor(np.ones(2), np.eye(2))
 
     def test_phi_reduces_to_maximally_mixed(self):
         rho = phi_projector_state(2)
         np.testing.assert_allclose(
-            qt.partial_trace(rho, "first"), np.eye(2) / 2, atol=1e-12
+            qt.partial_trace(rho), np.eye(2) / 2, atol=1e-12
         )
         np.testing.assert_allclose(
-            qt.partial_trace(rho, "second"), np.eye(2) / 2, atol=1e-12
+            partial_trace_second(rho), np.eye(2) / 2, atol=1e-12
         )
 
     def test_trace_preserved_on_random_states(self):
         for seed in range(10):
-            rho = qt.hs_random_density(9, 9, seed=seed)
-            for which in ("first", "second"):
-                red = qt.partial_trace(rho, which)
+            rho = hs_random_density(9, seed=seed)
+            for red in (qt.partial_trace(rho), partial_trace_second(rho)):
                 assert abs(np.trace(red).real - 1.0) < 1e-12
                 assert np.abs(red - red.conj().T).max() < 1e-12
-
-    def test_partial_trace_rejects_bad_selector(self):
-        with pytest.raises(qt.InvalidParameter):
-            qt.partial_trace(maximally_mixed(2), "third")
 
     def test_product_state_marginals(self):
         a = np.diag([0.7, 0.3]).astype(complex)
         b = np.diag([0.1, 0.9]).astype(complex)
         rho = qt.validate_density(tensor(a, b), 2)
-        np.testing.assert_allclose(qt.partial_trace(rho, "second"), a, atol=1e-12)
-        np.testing.assert_allclose(qt.partial_trace(rho, "first"), b, atol=1e-12)
+        np.testing.assert_allclose(partial_trace_second(rho), a, atol=1e-12)
+        np.testing.assert_allclose(qt.partial_trace(rho), b, atol=1e-12)
 
 
 class TestStateFileFormat:
@@ -277,49 +268,49 @@ class TestStateFileFormat:
         np.testing.assert_allclose(loaded.entries, rho.entries, atol=1e-12)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="cannot read state file"):
             qt.load_state(tmp_path / "missing.json")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="is not valid JSON"):
             qt.load_state(path)
 
     def test_rejects_nan(self):
         payload = qt.state_to_dict(maximally_mixed(2))
         payload["matrix"][0][0][0] = float("nan")
-        with pytest.raises(ParseError, match="NaN"):
-            qt.state_from_dict(payload)
+        with pytest.raises(ValidationError, match="'matrix' contains NaN"):
+            state_from_dict(payload)
 
     def test_rejects_inf(self, tmp_path):
         payload = qt.state_to_dict(maximally_mixed(2))
         payload["matrix"][1][1][1] = float("inf")
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="'matrix' contains NaN or Inf"):
             qt.load_state(path)
 
     def test_rejects_missing_keys(self):
-        with pytest.raises(ParseError):
-            qt.state_from_dict({"matrix": []})
-        with pytest.raises(ParseError):
-            qt.state_from_dict({"n": 2})
+        with pytest.raises(ValidationError, match="'n' and 'matrix' keys"):
+            state_from_dict({"matrix": []})
+        with pytest.raises(ValidationError, match="'n' and 'matrix' keys"):
+            state_from_dict({"n": 2})
 
     def test_rejects_non_integer_n(self):
         payload = qt.state_to_dict(maximally_mixed(2))
         payload["n"] = 2.0
-        with pytest.raises(ParseError):
-            qt.state_from_dict(payload)
+        with pytest.raises(ValidationError, match="'n' must be an integer"):
+            state_from_dict(payload)
 
     def test_rejects_flat_entries(self):
-        with pytest.raises(ParseError):
-            qt.state_from_dict({"n": 2, "matrix": [[1.0] * 4] * 4})
+        with pytest.raises(ValidationError, match=r"two-element \[re, im\] arrays"):
+            state_from_dict({"n": 2, "matrix": [[1.0] * 4] * 4})
 
     def test_shape_mismatch_from_file(self):
         payload = {
             "n": 2,
             "matrix": [[[1.0 / 3, 0.0]] * 3] * 3,
         }
-        with pytest.raises(DimensionMismatch):
-            qt.state_from_dict(payload)
+        with pytest.raises(ValidationError, match="expected shape"):
+            state_from_dict(payload)
