@@ -169,7 +169,14 @@ def cmd_densecode(args) -> dict:
 
 
 def _add_optimizer_args(sub) -> None:
-    sub.add_argument("--restarts", type=int, default=16)
+    sub.add_argument(
+        "--restarts",
+        type=int,
+        default=16,
+        help="cap on the seeded Haar restarts of the N >= 3 search; all of "
+        "them run, in one batch, only if the spectral start leaves the "
+        "teleportation verdict undecided (default 16)",
+    )
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -202,7 +209,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("fef", help="certified singlet-fraction bounds")
+    p = sub.add_parser(
+        "fef",
+        help="certified singlet-fraction bounds",
+        description=(
+            "Certified bounds on the singlet fraction F.  F is exact at N = 2.  "
+            "For N >= 3 upper is lambda_max and lower is the best overlap "
+            "attained by the starts that ran: the spectral start, and the "
+            "Haar restarts only if it leaves the teleportation verdict "
+            "undecided.  So lower is attained, but it is not always the best "
+            "the restarts could find."
+        ),
+    )
     p.add_argument("file")
     _add_optimizer_args(p)
     p.set_defaults(func=cmd_fef)

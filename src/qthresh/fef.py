@@ -19,10 +19,19 @@ by the generalized power method (Journee, Nesterov, Richtarik &
 Sepulchre, JMLR 11, 517 (2010)) with the spectral shift of the power
 method (Golub & Van Loan, Matrix Computations, Sec. 7.3):
 U <- polar(mat((rho - mu I) u)), mu = lambda_min(rho), monotone with no
-step size.  Restarts run batched and the best objective over restarts
-is a certified *lower* bound (it is attained by an explicit state).
-The matching upper bound is lambda_max(rho), which dominates
-<Psi|rho|Psi> for every unit vector |Psi>.
+step size.  The best objective over all starts is a certified *lower*
+bound (it is attained by an explicit state).  The matching upper bound
+is lambda_max(rho), which dominates <Psi|rho|Psi> for every unit vector
+|Psi>.
+
+The search is spent only where the spectrum leaves the verdict open.
+The spectral start ascends first; the ``OptimizerConfig.restarts``
+seeded Haar restarts follow, in one batch, only if the verdict on the
+provisional bound pair is Undecided.  Above the entropy threshold
+lambda_max < 1/N typically decides it at once, and so does a spectral
+start that already clears 1/N.  Where it decides, ``lower`` is that
+start's local maximum, attained but not the best the restarts could
+find.
 
 The teleportation verdict compares the bound pair with 1/N, the value
 above which the state beats the classical fidelity 2/(N+1), at the one
@@ -51,6 +60,14 @@ _SEED_MASK = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Seeded Haar restarts for the N >= 3 search.
+
+    ``restarts`` is a cap: the restarts run, all of them, only if the
+    teleportation verdict is still open after the spectral start, so a
+    state that the spectrum decides runs none.  Restart r starts from
+    ``haar_unitary(N, (seed ^ r) & (2**64 - 1))``.
+    """
+
     restarts: int = 16
     seed: int = 0
 
@@ -70,8 +87,10 @@ class FefBounds:
     ``upper`` is max(lambda_max(rho), lower): both are upper bounds on
     F, and taking the larger keeps ``gap`` >= 0 when rounding puts the
     attained overlap a few ulps above the computed eigenvalue.
-    ``restarts_used`` and ``iterations_total`` are 0 where F is exact
-    (N = 2).
+    ``restarts_used`` is the number of seeded Haar restarts that ran
+    besides the spectral start: the cap if the spectral start left the
+    verdict open, else 0.  ``iterations_total`` sums the iterations of
+    every start.  Both are 0 where F is exact (N = 2).
     """
 
     lower: float
@@ -208,37 +227,46 @@ def fef_certified(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Fef
     At N = 2 F is exact, so lower = upper with no restarts and no
     iterations.  For N >= 3 one eigendecomposition of rho gives the
     spectral warm start (top eigenvector), the shift lambda_min and the
-    upper bound lambda_max; the warm start plus all seeded restarts
-    ascend, ``lower`` is the best objective, ``upper`` is
+    upper bound lambda_max.  The warm start ascends alone; if
+    ``usable_for_teleportation`` calls the provisional pair (its
+    objective, max(lambda_max, its objective)) Undecided, all
+    ``cfg.restarts`` seeded Haar restarts ascend in one batch and join
+    the pool.  ``lower`` is the best objective of the pool, ``upper`` is
     max(lambda_max, lower), and ``converged`` says whether the gap is
-    within ``GAP_TOL`` or the winning restart's last gain fell below
+    within ``GAP_TOL`` or the winning start's last gain fell below
     ``STEP_TOL``.  A winner that stopped on that gain rule more than
     ``STEP_TOL`` but at most ``GAP_TOL`` below lambda_max runs on alone
-    until its gain stops, so a gap that can close does; this happens
-    only on slowly converging states such as tied top weights in a
-    maximally entangled basis.
+    until its gain stops, so a gap that can close does; this happens only
+    on slowly converging states such as tied top weights in a maximally
+    entangled basis.
     """
     cfg = cfg if cfg is not None else OptimizerConfig()
-    if rho.n == 2:
+    n = rho.n
+    if n == 2:
         lower, best_u = _two_qubit_exact(rho.entries)
         return FefBounds(lower, lower, _fix_phase(best_u), 0, 0, True)
     eigenvalues, eigenvectors = spectral_decomposition(rho.entries)
-    starts = np.stack(
-        [_spectral_start(eigenvectors[:, 0], rho.n)]
-        + [
-            haar_unitary(rho.n, (cfg.seed ^ r) & _SEED_MASK)
-            for r in range(cfg.restarts)
-        ]
-    )
     top, shift = float(eigenvalues[0]), float(eigenvalues[-1])
+    start = _spectral_start(eigenvectors[:, 0], n)[None]
     units, f, iterations, last_delta = _ascend(
-        rho.entries, rho.n, starts, MAX_ITERS, STEP_TOL, shift
+        rho.entries, n, start, MAX_ITERS, STEP_TOL, shift
     )
+    # only the pair enters the verdict; the other fields are placeholders
+    provisional = FefBounds(f[0], max(top, f[0]), units[0], 0, 0, False)
+    used = 0
+    if usable_for_teleportation(provisional, n) is TeleportVerdict.UNDECIDED:
+        used = cfg.restarts
+        starts = np.stack(
+            [haar_unitary(n, (cfg.seed ^ r) & _SEED_MASK) for r in range(used)]
+        )
+        more = _ascend(rho.entries, n, starts, MAX_ITERS, STEP_TOL, shift)
+        pool = zip((units, f, iterations, last_delta), more)
+        units, f, iterations, last_delta = (np.concatenate(pair) for pair in pool)
     best = int(np.argmax(f))
     total = int(iterations.sum())
     if STEP_TOL < top - f[best] <= GAP_TOL and last_delta[best] > 0.0:
         units, f, more, last_delta = _ascend(
-            rho.entries, rho.n, units[best : best + 1], MAX_ITERS, 0.0, shift
+            rho.entries, n, units[best : best + 1], MAX_ITERS, 0.0, shift
         )
         best, total = 0, total + int(more[0])
     lower = float(f[best])
@@ -247,7 +275,7 @@ def fef_certified(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Fef
         lower=lower,
         upper=upper,
         best_unitary=_fix_phase(units[best]),
-        restarts_used=cfg.restarts,
+        restarts_used=used,
         iterations_total=total,
         converged=(upper - lower) <= GAP_TOL or bool(last_delta[best] < STEP_TOL),
     )

@@ -41,8 +41,20 @@ from .states import DensityMatrix, bell_diagonal_coeffs, partial_trace
 
 # A Monte Carlo chunk holds _MC_CHUNK_ENTRIES // N^2 inputs: their full
 # N x N tables of Weyl overlaps would be this many complex entries (1 MiB),
-# and the folded tables in the workspace keep N//2 + 1 of the N rows.
+# and the folded tables in the workspace keep N//2 + 1 of the N rows.  The
+# chunk is capped so that its workspace stays within _MC_WORKSPACE_BYTES:
+# glibc returns a larger one, such as the uncapped 2 MiB at N = 2, to the
+# system after every call, and the next call faults it in again (512
+# minor page faults).  The cap binds at N <= 4 only.
 _MC_CHUNK_ENTRIES = 2**16
+_MC_WORKSPACE_BYTES = 2**20
+
+
+def _mc_chunk(n: int) -> int:
+    """Inputs per Monte Carlo chunk: each takes 2N float64 normals, N
+    complex amplitudes and an (N//2 + 1) x N complex table."""
+    per_input = 16 * n * (n // 2 + 3)
+    return max(1, min(_MC_CHUNK_ENTRIES // (n * n), _MC_WORKSPACE_BYTES // per_input))
 
 
 @dataclass(frozen=True)
@@ -142,10 +154,10 @@ def teleportation_avg_fidelity_mc(
     O(N^2 log N) and no N^2 x N^2 transfer matrix is built; the weights
     are folded once per call onto the shifts a = 0 .. N//2
     (``_fold_weights``), which halves the DFT work.  Inputs are drawn
-    from one seeded generator in chunks of
-    max(1, ``_MC_CHUNK_ENTRIES`` // N^2), real parts before imaginary
-    parts, into one workspace allocated per call, in which every chunk
-    runs without allocating.  The count, mean and sum of squared
+    from one seeded generator in chunks of ``_mc_chunk(N)`` inputs, real
+    parts before imaginary parts, into one workspace of at most
+    ``_MC_WORKSPACE_BYTES`` allocated per call, in which every chunk runs
+    without allocating.  The count, mean and sum of squared
     deviations of each chunk are merged into the running ones (Chan,
     Golub & LeVeque), so memory does not grow with ``n_samples``.  A
     negative integer seed raises ``ValidationError``.
@@ -156,7 +168,7 @@ def teleportation_avg_fidelity_mc(
     n = rho_resource.n
     folded = _fold_weights(bell_diagonal_coeffs(rho_resource), n)
     rng = np.random.default_rng(seed)
-    chunk = max(1, _MC_CHUNK_ENTRIES // (n * n))
+    chunk = _mc_chunk(n)
     normals = np.empty((2, chunk, n))
     inputs = np.empty((chunk, n), dtype=np.complex128)
     transform = np.empty((chunk, n // 2 + 1, n), dtype=np.complex128)

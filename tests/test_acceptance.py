@@ -63,22 +63,41 @@ def test_criterion_2_extremal_saturation():
 
 def test_criterion_3_theorem_verification():
     cfg = qt.OptimizerConfig(restarts=16, seed=0)
+    # cells (S>T & F>, S>T & F<=, S<=T & F>, S<=T & F<=) of each run,
+    # pinned: a faster search must not move a single verdict
     runs = [
-        (2, 10_000, qt.SamplerSpec(kind="hilbert_schmidt", dim=4, seed=101)),
+        (
+            2,
+            10_000,
+            qt.SamplerSpec(kind="hilbert_schmidt", dim=4, seed=101),
+            (0, 5, 5510, 4485),
+        ),
         (
             2,
             1_000,
             qt.SamplerSpec(
                 kind="high_entropy", dim=4, mix_toward_identity=0.9, seed=102
             ),
+            (0, 1000, 0, 0),
         ),
-        (3, 1_000, qt.SamplerSpec(kind="hilbert_schmidt", dim=9, seed=103)),
+        (
+            3,
+            1_000,
+            qt.SamplerSpec(kind="hilbert_schmidt", dim=9, seed=103),
+            (0, 0, 49, 951),
+        ),
     ]
-    for n, samples, spec in runs:
+    for n, samples, spec, cells in runs:
         summary = qt.verify_theorem(n, samples, spec, cfg)
         assert summary.violations == 0
         assert summary.contrapositive_violations == 0
         assert summary.samples == samples
+        assert (
+            summary.s_above_f_above,
+            summary.s_above_f_below,
+            summary.s_below_f_above,
+            summary.s_below_f_below,
+        ) == cells
     _announce(3, "zero violations over 12000 sampled states at N=2, 3")
 
 

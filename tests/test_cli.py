@@ -111,6 +111,45 @@ class TestVerifyCommand:
         assert payload["violations"] == 0
 
 
+    # stdout recorded before the N >= 3 restarts became conditional on an
+    # open verdict; the verdicts, and so these bytes, must not move
+    @pytest.mark.parametrize(
+        "n, sampler, expected",
+        [
+            (2, ["hs"], '{"cells": {"s_above_f_above": 0, "s_above_f_below": 0, '
+             '"s_below_f_above": 33, "s_below_f_below": 27}, '
+             '"contrapositive_violations": 0, "fef_margin": 1e-09, "n": 2, '
+             '"optimizer_seed": 7, "restarts": 16, "sampler_kind": '
+             '"hilbert_schmidt", "sampler_seed": 7, "samples": 60, '
+             '"threshold_bits": 1.79248125036, "violations": 0}\n'),
+            (2, ["high-entropy", "--mix", "0.5"], '{"cells": {"s_above_f_above": 0, '
+             '"s_above_f_below": 54, "s_below_f_above": 0, "s_below_f_below": 6}, '
+             '"contrapositive_violations": 0, "fef_margin": 1e-09, "n": 2, '
+             '"optimizer_seed": 7, "restarts": 16, "sampler_kind": "high_entropy", '
+             '"sampler_seed": 7, "samples": 60, "threshold_bits": 1.79248125036, '
+             '"violations": 0}\n'),
+            (3, ["hs"], '{"cells": {"s_above_f_above": 0, "s_above_f_below": 0, '
+             '"s_below_f_above": 3, "s_below_f_below": 57}, '
+             '"contrapositive_violations": 0, "fef_margin": 1e-09, "n": 3, '
+             '"optimizer_seed": 7, "restarts": 16, "sampler_kind": '
+             '"hilbert_schmidt", "sampler_seed": 7, "samples": 60, '
+             '"threshold_bits": 2.91829583405, "violations": 0}\n'),
+            (3, ["high-entropy", "--mix", "0.5"], '{"cells": {"s_above_f_above": 0, '
+             '"s_above_f_below": 60, "s_below_f_above": 0, "s_below_f_below": 0}, '
+             '"contrapositive_violations": 0, "fef_margin": 1e-09, "n": 3, '
+             '"optimizer_seed": 7, "restarts": 16, "sampler_kind": "high_entropy", '
+             '"sampler_seed": 7, "samples": 60, "threshold_bits": 2.91829583405, '
+             '"violations": 0}\n'),
+        ],
+        ids=["n2-hs", "n2-high-entropy", "n3-hs", "n3-high-entropy"],
+    )
+    def test_json_bytes_are_pinned(self, n, sampler, expected, capsys):
+        args = ["verify", "--n", str(n), "--samples", "60", "--sampler", *sampler,
+                "--seed", "7", "--json"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestPlainTables:
     """Plain text is the JSON payload as a table: one row per scalar,
     nested values under dotted keys, None and arrays left out."""

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qthresh as qt
 from qthresh import fef
+from qthresh.entropy import spectral_decomposition
 from qthresh.errors import ValidationError
 from qthresh.fef import _ascend, _spectral_start
 from qthresh.sampling import high_entropy_density, hs_random_density
@@ -13,6 +14,7 @@ from oracles import (
     fef_bell_diagonal_exact,
     fef_bruteforce_n2,
     fef_objective,
+    fef_one_batch,
     ginibre_density,
     maximally_mixed,
     phi_projector_state,
@@ -22,6 +24,17 @@ from oracles import (
 
 def top_vector(rho):
     return np.linalg.eigh(rho.entries)[1][:, -1]
+
+
+def spectral_start_ascent(rho):
+    """(objective, iterations) of the spectral start's ascent alone, the
+    first step of the N >= 3 search."""
+    values, vectors = np.linalg.eigh(rho.entries)
+    start = _spectral_start(vectors[:, -1], rho.n)[None]
+    _, f, iterations, _ = _ascend(
+        rho.entries, rho.n, start, fef.MAX_ITERS, fef.STEP_TOL, float(values[0])
+    )
+    return float(f[0]), int(iterations[0])
 
 
 def schmidt_state(n, coeffs):
@@ -361,6 +374,8 @@ class TestPowerStep:
 
     @settings(derandomize=True, deadline=None)
     @given(raw=_BELL_WEIGHTS)
+    # two tied top weights and a close third, where every start crawls
+    @example(raw=[0.0] * 13 + [1.0, 1.0, 0.96875])
     def test_bell_diagonal_is_max_weight(self, raw):
         n = int(np.sqrt(len(raw)))
         w = np.asarray(raw) / sum(raw)
@@ -420,16 +435,29 @@ class TestSpectralShift:
     @pytest.mark.parametrize("n", (3, 4))
     def test_mixing_toward_identity_is_affine_and_no_slower(self, n):
         # F((1 - t) rho + t I/N^2) = (1 - t) F(rho) + t/N^2, and the shifted
-        # step on the mixture is the same step scaled by 1 - t
+        # step on the mixture is the same step scaled by 1 - t.  The mixture's
+        # spectrum can decide its verdict while the base's stays open, so
+        # searches of the same extent are compared: the spectral start's
+        # ascent on both, and the full search when both ran the same restarts
         d = n * n
         for seed in range(10):
             rho = hs_random_density(d, seed=seed)
+            base_start = spectral_start_ascent(rho)
             base = qt.fef_certified(rho)
             for t in (0.5, 0.9, 0.99):
                 mixed = qt.DensityMatrix(n, (1 - t) * rho.entries + t * np.eye(d) / d)
+                pairs = [(spectral_start_ascent(mixed), base_start)]
                 bounds = qt.fef_certified(mixed)
-                assert abs(bounds.lower - ((1 - t) * base.lower + t / d)) <= 1e-8
-                assert bounds.iterations_total <= base.iterations_total
+                if bounds.restarts_used == base.restarts_used:
+                    pairs.append(
+                        (
+                            (bounds.lower, bounds.iterations_total),
+                            (base.lower, base.iterations_total),
+                        )
+                    )
+                for (lower, iterations), (base_lower, base_iterations) in pairs:
+                    assert abs(lower - ((1 - t) * base_lower + t / d)) <= 1e-8
+                    assert iterations <= base_iterations
 
     def test_high_entropy_iterations(self):
         # measured: about 700 per state with the shift, 3,600 without it
@@ -454,6 +482,88 @@ class TestSpectralShift:
             calls.clear()
             qt.fef_certified(rho)
             assert calls == [(rho.n**2, rho.n**2)]
+
+
+def _sampled(spec, count):
+    return [qt.sample(spec, i) for i in range(count)]
+
+
+class TestSearchWhileOpen:
+    """Haar restarts run only while the verdict is open, against the
+    one-batch search that runs all of them on every state."""
+
+    @pytest.mark.parametrize(
+        "spec, count",
+        [
+            # the first states of acceptance criterion 3's N = 3 stream
+            (qt.SamplerSpec("hilbert_schmidt", 9, seed=103), 300),
+            (qt.SamplerSpec("hilbert_schmidt", 16, seed=103), 40),
+            (qt.SamplerSpec("high_entropy", 9, seed=103, mix_toward_identity=0.9), 100),
+        ],
+        ids=["hs3", "hs4", "noisy3"],
+    )
+    def test_matches_one_batch_search(self, spec, count):
+        cfg = qt.OptimizerConfig()
+        n = int(np.sqrt(spec.dim))
+        for rho in _sampled(spec, count):
+            bounds, oracle = qt.fef_certified(rho, cfg), fef_one_batch(rho, cfg)
+            assert qt.usable_for_teleportation(
+                bounds, n
+            ) is qt.usable_for_teleportation(oracle, n)
+            assert bounds.upper == oracle.upper
+            assert bounds.lower <= oracle.lower + 1e-12
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_families_match_one_batch_search(self, n):
+        cfg = qt.OptimizerConfig()
+        states = [
+            qt.werner(qt.WernerParams(n, eps))
+            for eps in (0.0, 1.0 / (n + 1), 1.0 / n, 0.5, 0.9, 1.0)
+        ]
+        states.append(qt.extremal_threshold_state(n))
+        for rho in states:
+            bounds, oracle = qt.fef_certified(rho, cfg), fef_one_batch(rho, cfg)
+            assert qt.usable_for_teleportation(
+                bounds, n
+            ) is qt.usable_for_teleportation(oracle, n)
+            assert bounds.lower <= oracle.lower + 1e-12
+            # F = lambda_max on these states, and an attained overlap can
+            # round a few ulps above the computed lambda_max; upper is then
+            # that overlap, and the one-batch search attains more of them
+            top = float(spectral_decomposition(rho.entries)[0][0])
+            if max(bounds.lower, oracle.lower) <= top:
+                assert bounds.upper == oracle.upper == top
+            else:
+                assert abs(bounds.upper - oracle.upper) <= 1e-15
+
+    @pytest.mark.parametrize("cap", (2, 16))
+    def test_restarts_run_only_while_open(self, monkeypatch, cap):
+        draw = fef.haar_unitary
+        seeds = []
+
+        def counting_draw(n, seed):
+            seeds.append(seed)
+            return draw(n, seed)
+
+        monkeypatch.setattr(fef, "haar_unitary", counting_draw)
+        cfg = qt.OptimizerConfig(restarts=cap, seed=3)
+        states = _sampled(qt.SamplerSpec("hilbert_schmidt", 9, seed=103), 60)
+        states += _sampled(qt.SamplerSpec("hilbert_schmidt", 16, seed=103), 10)
+        states += _sampled(
+            qt.SamplerSpec("high_entropy", 9, seed=103, mix_toward_identity=0.9), 10
+        )
+        used = set()
+        for rho in states:
+            seeds.clear()
+            bounds = qt.fef_certified(rho, cfg)
+            used.add(bounds.restarts_used)
+            top = float(np.linalg.eigvalsh(rho.entries)[-1])
+            if top < 1.0 / rho.n - fef.VERDICT_MARGIN:
+                assert bounds.restarts_used == 0 and seeds == []
+            # the whole cap is drawn, once, or nothing
+            drawn = [3 ^ r for r in range(cap)] if bounds.restarts_used else []
+            assert seeds == drawn
+        assert used == {0, cap}
 
 
 class TestTeleportVerdict:

@@ -19,7 +19,12 @@ from oracles import (
     teleportation_channel_apply,
     tensor,
 )
-from qthresh.protocols import _MC_CHUNK_ENTRIES, _fold_weights, _weyl_fidelities
+from qthresh.protocols import (
+    _MC_WORKSPACE_BYTES,
+    _fold_weights,
+    _mc_chunk,
+    _weyl_fidelities,
+)
 
 
 class TestTeleportationChannel:
@@ -171,7 +176,7 @@ class TestWeylChannelFidelity:
     def test_chunked_estimator_matches_transfer_matrix(self, n, n_samples):
         rho = hs_random_density(n * n, seed=30 + n)
         transfer = _channel_transfer_matrix(rho)
-        chunk = _MC_CHUNK_ENTRIES // (n * n)
+        chunk = _mc_chunk(n)
         assert n_samples > 2 * chunk and n_samples % chunk
         rng = np.random.default_rng(11)
         fid = []
@@ -198,8 +203,9 @@ class TestWeylChannelFidelity:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_memory_stays_within_one_workspace(self, n):
+        # the workspace plus about 130 KiB of small allocations outside it
         rho = hs_random_density(n * n, seed=5)
         tracemalloc.start()
         try:
@@ -207,7 +213,7 @@ class TestWeylChannelFidelity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < _MC_WORKSPACE_BYTES + 2**18
 
     def test_page_faults_do_not_grow_with_samples(self):
         resource = pytest.importorskip("resource")
