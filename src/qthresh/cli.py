@@ -90,10 +90,6 @@ def _print_table(payload: dict) -> None:
         print(f"{key:<{width}}  {value}")
 
 
-def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(restarts=args.restarts, seed=args.seed)
-
-
 def cmd_thresholds(args) -> dict:
     return {
         "n": args.n,
@@ -104,7 +100,7 @@ def cmd_thresholds(args) -> dict:
 
 
 def cmd_analyze(args) -> dict:
-    return analyze_rho(load_state(args.file), _optimizer_config(args)).to_dict()
+    return analyze_rho(load_state(args.file), OptimizerConfig(seed=args.seed)).to_dict()
 
 
 def cmd_verify(args) -> dict:
@@ -115,7 +111,8 @@ def cmd_verify(args) -> dict:
         mix_toward_identity=args.mix if kind == "high_entropy" else None,
         seed=args.seed,
     )
-    return verify_theorem(args.n, args.samples, spec, _optimizer_config(args)).to_dict()
+    cfg = OptimizerConfig(seed=args.seed)
+    return verify_theorem(args.n, args.samples, spec, cfg).to_dict()
 
 
 def cmd_sweep(args) -> dict:
@@ -128,7 +125,7 @@ def cmd_sweep(args) -> dict:
 
 def cmd_fef(args) -> dict:
     rho = load_state(args.file)
-    bounds = fef_certified(rho, _optimizer_config(args))
+    bounds = fef_certified(rho, OptimizerConfig(seed=args.seed))
     return {
         "n": rho.n,
         "lower": bounds.lower,
@@ -168,18 +165,6 @@ def cmd_densecode(args) -> dict:
     }
 
 
-def _add_optimizer_args(sub) -> None:
-    sub.add_argument(
-        "--restarts",
-        type=int,
-        default=16,
-        help="cap on the seeded Haar restarts of the N >= 3 search; all of "
-        "them run, in one batch, only if the spectral start leaves the "
-        "teleportation verdict undecided (default 16)",
-    )
-    sub.add_argument("--seed", type=int, default=0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qthresh",
@@ -192,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full threshold report for a state file")
     p.add_argument("file")
-    _add_optimizer_args(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="randomized threshold-theorem verification")
@@ -200,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--sampler", choices=sorted(_SAMPLER_NAMES), default="hs")
     p.add_argument("--mix", type=float, default=0.9)
-    _add_optimizer_args(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="Werner epsilon sweep to CSV")
@@ -215,14 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Certified bounds on the singlet fraction F.  F is exact at N = 2.  "
             "For N >= 3 upper is lambda_max and lower is the best overlap "
-            "attained by the starts that ran: the spectral start, and the "
-            "Haar restarts only if it leaves the teleportation verdict "
-            "undecided.  So lower is attained, but it is not always the best "
-            "the restarts could find."
+            "attained by the starts that ran: 16 seeded Haar restarts run "
+            "with the spectral start exactly when lambda_max > 1/N + 1e-9; "
+            "otherwise lower is the spectral start's."
         ),
     )
     p.add_argument("file")
-    _add_optimizer_args(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fef)
 
     p = sub.add_parser("teleport", help="teleportation fidelity of a resource")

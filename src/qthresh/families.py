@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import shannon_bits, teleport_threshold_vn, densecoding_threshold
+from .entropy import densecoding_threshold, shannon_bits
 from .errors import ValidationError
 from .states import DensityMatrix, _bell_diagonal_entries, _require_local_dim
 
@@ -103,7 +103,6 @@ def extremal_threshold_state(n: int) -> DensityMatrix:
 class CriticalEpsilons:
     """Werner parameters where the usefulness boundaries are crossed."""
 
-    eps_fef_above: float
     eps_entropy_at_teleport_threshold: float
     eps_entropy_at_densecoding_threshold: float
 
@@ -125,15 +124,15 @@ def _bisect_entropy(n: int, target_bits: float) -> float:
 
 
 def critical_epsilons(n: int) -> CriticalEpsilons:
-    """The three epsilon markers of the Werner family.
+    """The two epsilon markers of the Werner family: where the entropy
+    meets the teleportation and the dense-coding threshold.
 
-    Any eps above 1/N makes F exceed 1/N; the other two are where the
-    entropy meets the teleportation and dense-coding thresholds.
+    The first is exactly 1/(N+1), the extremal state, where F = 1/N too;
+    the second is found by bisection.
     """
     n = _require_local_dim(n)
     return CriticalEpsilons(
-        eps_fef_above=1.0 / n,
-        eps_entropy_at_teleport_threshold=_bisect_entropy(n, teleport_threshold_vn(n)),
+        eps_entropy_at_teleport_threshold=1.0 / (n + 1),
         eps_entropy_at_densecoding_threshold=_bisect_entropy(
             n, densecoding_threshold(n)
         ),

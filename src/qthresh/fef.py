@@ -24,14 +24,11 @@ bound (it is attained by an explicit state).  The matching upper bound
 is lambda_max(rho), which dominates <Psi|rho|Psi> for every unit vector
 |Psi>.
 
-The search is spent only where the spectrum leaves the verdict open.
-The spectral start ascends first; the ``OptimizerConfig.restarts``
-seeded Haar restarts follow, in one batch, only if the verdict on the
-provisional bound pair is Undecided.  Above the entropy threshold
-lambda_max < 1/N typically decides it at once, and so does a spectral
-start that already clears 1/N.  Where it decides, ``lower`` is that
-start's local maximum, attained but not the best the restarts could
-find.
+Since F <= lambda_max, no start can certify F > 1/N unless lambda_max
+does, so lambda_max decides whether to search: the
+``OptimizerConfig.restarts`` seeded Haar restarts join the spectral
+start's batch exactly when lambda_max > 1/N + ``VERDICT_MARGIN``.
+Otherwise ``lower`` is the spectral start's local maximum.
 
 The teleportation verdict compares the bound pair with 1/N, the value
 above which the state beats the classical fidelity 2/(N+1), at the one
@@ -62,10 +59,9 @@ _SEED_MASK = (1 << 64) - 1
 class OptimizerConfig:
     """Seeded Haar restarts for the N >= 3 search.
 
-    ``restarts`` is a cap: the restarts run, all of them, only if the
-    teleportation verdict is still open after the spectral start, so a
-    state that the spectrum decides runs none.  Restart r starts from
-    ``haar_unitary(N, (seed ^ r) & (2**64 - 1))``.
+    All ``restarts`` of them run, in the spectral start's batch, exactly
+    when lambda_max > 1/N + ``VERDICT_MARGIN``; otherwise none runs.
+    Restart r starts from ``haar_unitary(N, (seed ^ r) & (2**64 - 1))``.
     """
 
     restarts: int = 16
@@ -88,9 +84,10 @@ class FefBounds:
     F, and taking the larger keeps ``gap`` >= 0 when rounding puts the
     attained overlap a few ulps above the computed eigenvalue.
     ``restarts_used`` is the number of seeded Haar restarts that ran
-    besides the spectral start: the cap if the spectral start left the
-    verdict open, else 0.  ``iterations_total`` sums the iterations of
-    every start.  Both are 0 where F is exact (N = 2).
+    besides the spectral start: ``OptimizerConfig.restarts`` if
+    lambda_max > 1/N + ``VERDICT_MARGIN``, else 0.  ``iterations_total``
+    sums the iterations of every start.  Both are 0 where F is exact
+    (N = 2).
     """
 
     lower: float
@@ -227,11 +224,10 @@ def fef_certified(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Fef
     At N = 2 F is exact, so lower = upper with no restarts and no
     iterations.  For N >= 3 one eigendecomposition of rho gives the
     spectral warm start (top eigenvector), the shift lambda_min and the
-    upper bound lambda_max.  The warm start ascends alone; if
-    ``usable_for_teleportation`` calls the provisional pair (its
-    objective, max(lambda_max, its objective)) Undecided, all
-    ``cfg.restarts`` seeded Haar restarts ascend in one batch and join
-    the pool.  ``lower`` is the best objective of the pool, ``upper`` is
+    upper bound lambda_max.  The ``cfg.restarts`` seeded Haar restarts
+    run exactly when lambda_max > 1/N + ``VERDICT_MARGIN``, ascending in
+    one batch with the warm start; otherwise the warm start ascends
+    alone.  ``lower`` is the best objective of the batch, ``upper`` is
     max(lambda_max, lower), and ``converged`` says whether the gap is
     within ``GAP_TOL`` or the winning start's last gain fell below
     ``STEP_TOL``.  A winner that stopped on that gain rule more than
@@ -247,21 +243,15 @@ def fef_certified(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Fef
         return FefBounds(lower, lower, _fix_phase(best_u), 0, 0, True)
     eigenvalues, eigenvectors = spectral_decomposition(rho.entries)
     top, shift = float(eigenvalues[0]), float(eigenvalues[-1])
-    start = _spectral_start(eigenvectors[:, 0], n)[None]
-    units, f, iterations, last_delta = _ascend(
-        rho.entries, n, start, MAX_ITERS, STEP_TOL, shift
+    # at or below 1/N + margin no start can certify the state usable
+    used = cfg.restarts if top > 1.0 / n + VERDICT_MARGIN else 0
+    starts = np.stack(
+        [_spectral_start(eigenvectors[:, 0], n)]
+        + [haar_unitary(n, (cfg.seed ^ r) & _SEED_MASK) for r in range(used)]
     )
-    # only the pair enters the verdict; the other fields are placeholders
-    provisional = FefBounds(f[0], max(top, f[0]), units[0], 0, 0, False)
-    used = 0
-    if usable_for_teleportation(provisional, n) is TeleportVerdict.UNDECIDED:
-        used = cfg.restarts
-        starts = np.stack(
-            [haar_unitary(n, (cfg.seed ^ r) & _SEED_MASK) for r in range(used)]
-        )
-        more = _ascend(rho.entries, n, starts, MAX_ITERS, STEP_TOL, shift)
-        pool = zip((units, f, iterations, last_delta), more)
-        units, f, iterations, last_delta = (np.concatenate(pair) for pair in pool)
+    units, f, iterations, last_delta = _ascend(
+        rho.entries, n, starts, MAX_ITERS, STEP_TOL, shift
+    )
     best = int(np.argmax(f))
     total = int(iterations.sum())
     if STEP_TOL < top - f[best] <= GAP_TOL and last_delta[best] > 0.0:

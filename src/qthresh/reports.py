@@ -270,18 +270,22 @@ def _werner_row(n: int, eps: float) -> SweepRow:
         f_closed=f_val,
         chi_bits=2.0 * math.log2(n) - s,
         f_avg=(n * f_val + 1.0) / (n + 1.0),
-        above_t_vn=s > teleport_threshold_vn(n),
-        above_t_dc=s > densecoding_threshold(n),
+        above_t_vn=_entropy_verdict(s, teleport_threshold_vn(n)) is EntropyVerdict.ABOVE,
+        above_t_dc=_entropy_verdict(s, densecoding_threshold(n)) is EntropyVerdict.ABOVE,
     )
 
 
 def sweep_werner(n: int, grid_points: int) -> list[SweepRow]:
-    """Uniform epsilon grid on [0, 1] plus the three critical markers."""
+    """Uniform epsilon grid on [0, 1] plus the two critical markers.
+
+    A row is above a threshold only by more than ``VERDICT_MARGIN``, the
+    rule ``analyze_rho`` prints, so the marker rows, which sit on their
+    thresholds, read 0 rather than a side picked by rounding.
+    """
     if grid_points < 2:
         raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
     crit = critical_epsilons(n)
     eps_values = list(np.linspace(0.0, 1.0, grid_points)) + [
-        crit.eps_fef_above,
         crit.eps_entropy_at_teleport_threshold,
         crit.eps_entropy_at_densecoding_threshold,
     ]

@@ -12,11 +12,11 @@ it uses closed forms for the weights of a state in that basis and for
 their inverse, and these vectors are what those closed forms are tested
 against.
 
-The one-batch singlet-fraction search is the package's N >= 3 search as
-it ran before restarts became conditional: the spectral start and every
-seeded Haar restart ascend together on every state.  The package now
-runs the restarts only while the verdict is open; its verdicts and upper
-bounds must match this reference, and its lower bound may not exceed it.
+The one-batch singlet-fraction search runs the spectral start and every
+seeded Haar restart together on every state.  It is the package's
+N >= 3 result bit for bit wherever lambda_max > 1/N + margin leaves the
+verdict open; elsewhere the package ascends the spectral start alone,
+with the same verdict and a lower bound that may not exceed this one.
 
 The teleportation transfer matrix is built column by column from the
 literal measure-and-correct simulator, one N^2-outcome protocol run per

@@ -1,10 +1,12 @@
 """The public API of ``qthresh`` is this explicit list; a name added to or
 removed from the package namespace fails here until the list is updated.
 The options are pinned the same way: the fields of ``OptimizerConfig``
-and ``SamplerSpec`` and the sampler kinds.  The package docstring's
+and ``SamplerSpec``, the sampler kinds and each CLI subcommand's
+options.  The package docstring's
 example runs here too, and the package version is the one in
 ``pyproject.toml``."""
 
+import argparse
 import dataclasses
 import doctest
 import re
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import qthresh as qt
+from qthresh.cli import build_parser
 from qthresh.sampling import KINDS
 
 PUBLIC_NAMES = [
@@ -85,6 +88,35 @@ def test_public_names_are_the_listed_ones():
 def test_optimizer_options_are_the_listed_ones():
     fields = [f.name for f in dataclasses.fields(qt.OptimizerConfig)]
     assert fields == ["restarts", "seed"]
+
+
+CLI_OPTIONS = {
+    "analyze": ["--json", "--seed"],
+    "verify": ["--json", "--mix", "--n", "--sampler", "--samples", "--seed"],
+    "sweep": ["--json", "--n", "--out", "--points"],
+    "fef": ["--json", "--seed"],
+    "teleport": ["--json", "--mc-samples", "--seed"],
+    "densecode": ["--json"],
+    "thresholds": ["--json", "--n"],
+}
+
+
+def test_cli_options_are_the_listed_ones():
+    (commands,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        name: sorted(
+            option
+            for action in parser._actions
+            if action.dest != "help"
+            for option in action.option_strings
+        )
+        for name, parser in commands.choices.items()
+    }
+    assert options == CLI_OPTIONS
 
 
 def test_sampler_spec_fields_are_the_listed_ones():

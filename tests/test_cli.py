@@ -210,7 +210,7 @@ class TestSweepCommand:
 
 class TestStateCommands:
     def test_fef_json(self, werner_file, capsys):
-        assert main(["fef", werner_file, "--restarts", "4", "--json"]) == 0
+        assert main(["fef", werner_file, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["lower"] == pytest.approx(0.625, abs=1e-6)
         assert payload["upper"] == pytest.approx(0.625, abs=1e-6)

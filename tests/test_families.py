@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -195,8 +197,17 @@ class TestExtremalState:
 
 class TestCriticalEpsilons:
     def test_fef_marker(self):
-        assert qt.critical_epsilons(2).eps_fef_above == 0.5
-        assert qt.critical_epsilons(5).eps_fef_above == pytest.approx(0.2)
+        # F = eps + (1 - eps)/N^2 meets 1/N at the teleportation marker
+        # 1/(N+1), not at 1/N, so there is no marker of its own for F
+        fields = [f.name for f in dataclasses.fields(qt.CriticalEpsilons)]
+        assert fields == [
+            "eps_entropy_at_teleport_threshold",
+            "eps_entropy_at_densecoding_threshold",
+        ]
+        for n in range(2, 9):
+            crit = qt.critical_epsilons(n)
+            params = qt.WernerParams(n, crit.eps_entropy_at_teleport_threshold)
+            assert abs(qt.werner_fef_closed_form(params) - 1.0 / n) <= 1e-16
 
     @pytest.mark.parametrize("n", [1, 3.0, True])
     def test_rejects_bad_dimension(self, n):
@@ -206,11 +217,9 @@ class TestCriticalEpsilons:
     def test_teleport_marker_matches_closed_form(self):
         # the threshold-saturating Werner state is eps = 1/(N+1): its top
         # weight is then exactly 1/N with the rest uniform
-        for n in (2, 3, 4):
+        for n in range(2, 9):
             crit = qt.critical_epsilons(n)
-            assert crit.eps_entropy_at_teleport_threshold == pytest.approx(
-                1.0 / (n + 1), abs=1e-9
-            )
+            assert crit.eps_entropy_at_teleport_threshold == 1.0 / (n + 1)
 
     def test_markers_reproduce_thresholds(self):
         for n in (2, 3):
@@ -234,9 +243,9 @@ class TestCriticalEpsilons:
             assert diffs.max() < -1e-12
 
     def test_usable_region_consistency(self):
-        # eps > 1/N gives F > 1/N and S below the threshold
+        # eps > 1/(N+1) gives F > 1/N and S below the threshold
         for n in (2, 3, 4):
-            for eps in np.linspace(1.0 / n + 0.01, 1.0, 7):
+            for eps in np.linspace(1.0 / (n + 1) + 0.01, 1.0, 7):
                 params = qt.WernerParams(n, float(eps))
                 assert qt.werner_fef_closed_form(params) > 1.0 / n
                 assert qt.werner_entropy_closed_form(params) < qt.teleport_threshold_vn(n)

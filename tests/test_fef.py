@@ -28,7 +28,7 @@ def top_vector(rho):
 
 def spectral_start_ascent(rho):
     """(objective, iterations) of the spectral start's ascent alone, the
-    first step of the N >= 3 search."""
+    whole N >= 3 search when lambda_max <= 1/N + margin."""
     values, vectors = np.linalg.eigh(rho.entries)
     start = _spectral_start(vectors[:, -1], rho.n)[None]
     _, f, iterations, _ = _ascend(
@@ -488,9 +488,50 @@ def _sampled(spec, count):
     return [qt.sample(spec, i) for i in range(count)]
 
 
+def _searches(rho):
+    """Whether the Haar restarts must run: lambda_max > 1/N + margin."""
+    top = float(spectral_decomposition(rho.entries)[0][0])
+    return top > 1.0 / rho.n + fef.VERDICT_MARGIN
+
+
+@pytest.fixture
+def haar_draws(monkeypatch):
+    """Seeds of the Haar starts that ``fef_certified`` draws."""
+    draw = fef.haar_unitary
+    seeds = []
+
+    def counting_draw(n, seed):
+        seeds.append(seed)
+        return draw(n, seed)
+
+    monkeypatch.setattr(fef, "haar_unitary", counting_draw)
+    return seeds
+
+
+def _assert_one_batch_or_no_restarts(rho, cfg, seeds):
+    """Where lambda_max leaves the verdict open the result is the one-batch
+    search bit for bit; elsewhere no Haar start is drawn and ``lower`` is
+    the spectral start's, never above the one-batch search's."""
+    seeds.clear()
+    bounds, oracle = qt.fef_certified(rho, cfg), fef_one_batch(rho, cfg)
+    if _searches(rho):
+        assert bounds.lower == oracle.lower and bounds.upper == oracle.upper
+        assert bounds.iterations_total == oracle.iterations_total
+        assert np.array_equal(bounds.best_unitary, oracle.best_unitary)
+        assert bounds.restarts_used == cfg.restarts
+    else:
+        assert seeds == [] and bounds.restarts_used == 0
+        assert bounds.lower <= oracle.lower + 1e-12
+    assert qt.usable_for_teleportation(
+        bounds, rho.n
+    ) is qt.usable_for_teleportation(oracle, rho.n)
+    return bounds, oracle
+
+
 class TestSearchWhileOpen:
-    """Haar restarts run only while the verdict is open, against the
-    one-batch search that runs all of them on every state."""
+    """Haar restarts run exactly when lambda_max > 1/N + margin, in one
+    batch with the spectral start, against the one-batch search that runs
+    all of them on every state."""
 
     @pytest.mark.parametrize(
         "spec, count",
@@ -502,19 +543,14 @@ class TestSearchWhileOpen:
         ],
         ids=["hs3", "hs4", "noisy3"],
     )
-    def test_matches_one_batch_search(self, spec, count):
+    def test_matches_one_batch_search(self, spec, count, haar_draws):
         cfg = qt.OptimizerConfig()
-        n = int(np.sqrt(spec.dim))
         for rho in _sampled(spec, count):
-            bounds, oracle = qt.fef_certified(rho, cfg), fef_one_batch(rho, cfg)
-            assert qt.usable_for_teleportation(
-                bounds, n
-            ) is qt.usable_for_teleportation(oracle, n)
+            bounds, oracle = _assert_one_batch_or_no_restarts(rho, cfg, haar_draws)
             assert bounds.upper == oracle.upper
-            assert bounds.lower <= oracle.lower + 1e-12
 
     @pytest.mark.parametrize("n", range(3, 9))
-    def test_families_match_one_batch_search(self, n):
+    def test_families_match_one_batch_search(self, n, haar_draws):
         cfg = qt.OptimizerConfig()
         states = [
             qt.werner(qt.WernerParams(n, eps))
@@ -522,11 +558,7 @@ class TestSearchWhileOpen:
         ]
         states.append(qt.extremal_threshold_state(n))
         for rho in states:
-            bounds, oracle = qt.fef_certified(rho, cfg), fef_one_batch(rho, cfg)
-            assert qt.usable_for_teleportation(
-                bounds, n
-            ) is qt.usable_for_teleportation(oracle, n)
-            assert bounds.lower <= oracle.lower + 1e-12
+            bounds, oracle = _assert_one_batch_or_no_restarts(rho, cfg, haar_draws)
             # F = lambda_max on these states, and an attained overlap can
             # round a few ulps above the computed lambda_max; upper is then
             # that overlap, and the one-batch search attains more of them
@@ -537,15 +569,7 @@ class TestSearchWhileOpen:
                 assert abs(bounds.upper - oracle.upper) <= 1e-15
 
     @pytest.mark.parametrize("cap", (2, 16))
-    def test_restarts_run_only_while_open(self, monkeypatch, cap):
-        draw = fef.haar_unitary
-        seeds = []
-
-        def counting_draw(n, seed):
-            seeds.append(seed)
-            return draw(n, seed)
-
-        monkeypatch.setattr(fef, "haar_unitary", counting_draw)
+    def test_restarts_run_only_while_open(self, haar_draws, cap):
         cfg = qt.OptimizerConfig(restarts=cap, seed=3)
         states = _sampled(qt.SamplerSpec("hilbert_schmidt", 9, seed=103), 60)
         states += _sampled(qt.SamplerSpec("hilbert_schmidt", 16, seed=103), 10)
@@ -554,16 +578,51 @@ class TestSearchWhileOpen:
         )
         used = set()
         for rho in states:
-            seeds.clear()
+            haar_draws.clear()
             bounds = qt.fef_certified(rho, cfg)
             used.add(bounds.restarts_used)
-            top = float(np.linalg.eigvalsh(rho.entries)[-1])
-            if top < 1.0 / rho.n - fef.VERDICT_MARGIN:
-                assert bounds.restarts_used == 0 and seeds == []
-            # the whole cap is drawn, once, or nothing
-            drawn = [3 ^ r for r in range(cap)] if bounds.restarts_used else []
-            assert seeds == drawn
+            # the whole count is drawn, once, or nothing
+            drawn = [3 ^ r for r in range(cap)] if _searches(rho) else []
+            assert bounds.restarts_used == len(drawn) and haar_draws == drawn
         assert used == {0, cap}
+
+    def test_gate_is_strict_at_the_line(self, monkeypatch):
+        # lambda_max exactly on 1/N + margin leaves nothing to search for;
+        # one ulp above it the restarts run
+        rho = qt.extremal_threshold_state(3)
+        line = 1.0 / 3 + fef.VERDICT_MARGIN
+        for top, used in ((line, 0), (np.nextafter(line, 1.0), 16)):
+
+            def pinned(entries, top=top):
+                values, vectors = spectral_decomposition(entries)
+                values = values.copy()
+                values[0] = top
+                return values, vectors
+
+            monkeypatch.setattr(fef, "spectral_decomposition", pinned)
+            assert qt.fef_certified(rho).restarts_used == used
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_borderline_werner_verdicts(self, n):
+        # Werner at eps = 1/(N+1) + delta: F - 1/N = delta (1 - 1/N^2), so
+        # the verdict is decided only for |delta| = 1e-7, and only then
+        # above the line does the search run
+        for delta in (-1e-7, -1e-12, 0.0, 1e-12, 1e-7):
+            params = qt.WernerParams(n, 1.0 / (n + 1) + delta)
+            f_closed = qt.werner_fef_closed_form(params)
+            closed = qt.usable_for_teleportation(
+                qt.FefBounds(f_closed, f_closed, np.eye(n), 0, 0, True), n
+            )
+            plain = qt.werner(params)
+            states = [plain]
+            for seed in (1, 2):
+                local = tensor(qt.haar_unitary(n, seed), qt.haar_unitary(n, seed + 10))
+                entries = local @ plain.entries @ local.conj().T
+                states.append(qt.DensityMatrix(n, (entries + entries.conj().T) / 2))
+            for rho in states:
+                bounds = qt.fef_certified(rho)
+                assert qt.usable_for_teleportation(bounds, n) is closed
+                assert bounds.restarts_used == (16 if delta == 1e-7 else 0)
 
 
 class TestTeleportVerdict:

@@ -182,13 +182,28 @@ class TestWernerSweep:
         rows = qt.sweep_werner(2, 11)
         eps = [r.epsilon for r in rows]
         crit = qt.critical_epsilons(2)
-        assert any(abs(e - crit.eps_fef_above) < 1e-9 for e in eps)
         assert any(
             abs(e - crit.eps_entropy_at_teleport_threshold) < 1e-9 for e in eps
         )
         assert any(
             abs(e - crit.eps_entropy_at_densecoding_threshold) < 1e-9 for e in eps
         )
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_marker_rows_read_zero(self, n):
+        # each marker row sits on its threshold, so rounding must not pick
+        # a side; a grid point on the teleportation marker 1/(N+1) gives
+        # one row, not two
+        crit = qt.critical_epsilons(n)
+        rows = qt.sweep_werner(n, n + 2)
+        tel = [r for r in rows if abs(r.epsilon - 1.0 / (n + 1)) < 1e-9]
+        dc = [
+            r
+            for r in rows
+            if abs(r.epsilon - crit.eps_entropy_at_densecoding_threshold) < 1e-9
+        ]
+        assert len(tel) == 1 and len(dc) == 1
+        assert not tel[0].above_t_vn and not dc[0].above_t_dc
 
     def test_grid_ordered_and_entropy_monotone(self):
         rows = qt.sweep_werner(3, 17)
