@@ -95,4 +95,4 @@ from .states import (
     validate_density,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

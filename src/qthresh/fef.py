@@ -218,6 +218,16 @@ def _fix_phase(unitary: np.ndarray) -> np.ndarray:
     return fixed
 
 
+def _winner(f: np.ndarray) -> int:
+    """Index of the best start, or 0, the spectral start, when it is
+    within 4 ulps of the best: a restart that beats it by rounding alone
+    would trade its exact witness, I for a Werner state, for one with
+    entries of order 1e-16.  f[0] is attained, so it is a sound lower
+    bound either way."""
+    best = int(np.argmax(f))
+    return 0 if f[0] >= f[best] - 4 * np.spacing(f[best]) else best
+
+
 def fef_certified(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> FefBounds:
     """Lower and upper bound together with the optimizing unitary.
 
@@ -227,7 +237,8 @@ def fef_certified(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Fef
     upper bound lambda_max.  The ``cfg.restarts`` seeded Haar restarts
     run exactly when lambda_max > 1/N + ``VERDICT_MARGIN``, ascending in
     one batch with the warm start; otherwise the warm start ascends
-    alone.  ``lower`` is the best objective of the batch, ``upper`` is
+    alone.  ``lower`` is the best objective of the batch, or the spectral
+    start's when it is within 4 ulps of the best, ``upper`` is
     max(lambda_max, lower), and ``converged`` says whether the gap is
     within ``GAP_TOL`` or the winning start's last gain fell below
     ``STEP_TOL``.  A winner that stopped on that gain rule more than
@@ -252,7 +263,7 @@ def fef_certified(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Fef
     units, f, iterations, last_delta = _ascend(
         rho.entries, n, starts, MAX_ITERS, STEP_TOL, shift
     )
-    best = int(np.argmax(f))
+    best = _winner(f)
     total = int(iterations.sum())
     if STEP_TOL < top - f[best] <= GAP_TOL and last_delta[best] > 0.0:
         units, f, more, last_delta = _ascend(

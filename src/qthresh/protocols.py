@@ -13,8 +13,13 @@ index negated and conjugated, O(-a,b) = omega^{ab} conj(O(a,-b)), so
 the weights of the two shifts fold together once per call.  Each call
 allocates one workspace sized for a chunk of inputs and every chunk runs
 in it, so memory is bounded independently of the sample count and no
-chunk allocates.  The literal measure-and-correct simulation is kept
-as the reference oracle in ``tests/oracles.py``.
+chunk allocates.  One producer thread per call draws the next chunk's
+normals while the calling thread evaluates the current chunk; it takes
+the same stream in the same order as a serial loop, so seeded results
+are unchanged, and it is told to stop and joined on every exit from the
+call, an exception on either thread included.  The literal
+measure-and-correct simulation is kept as the reference oracle in
+``tests/oracles.py``, with the serial Monte Carlo loop.
 
 Alice is the first tensor factor everywhere: she measures (input (x) her
 resource half) in teleportation and applies the encoding unitary to the
@@ -24,6 +29,7 @@ first factor in dense coding.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,7 +42,7 @@ from .entropy import (
 )
 from .errors import ValidationError
 from .fef import VERDICT_MARGIN
-from .sampling import check_seed
+from .sampling import _is_int, check_seed
 from .states import DensityMatrix, bell_diagonal_coeffs, partial_trace
 
 # A Monte Carlo chunk holds _MC_CHUNK_ENTRIES // N^2 inputs: their full
@@ -127,8 +133,10 @@ def _weyl_fidelities(
     a = 0 .. N//2 are computed, in ``transform``, an (M, N//2 + 1, N)
     complex workspace that is overwritten: the conjugated products
     psi_j conj(psi_{j+a}) go through one unnormalized forward DFT over j,
-    which gives conj(O(a,b)) and so the same squared magnitude.  Nothing
-    is allocated beyond the index table.
+    which gives conj(O(a,b)) and so the same squared magnitude.  ``psi``
+    is not read once the products are formed, so ``out`` may share its
+    memory.  Nothing is allocated beyond the index table and numpy's
+    16 KiB buffer for the multiply.
     """
     n = psi.shape[1]
     shifts = np.arange(transform.shape[1])[:, None] + np.arange(n)[None, :]
@@ -136,7 +144,11 @@ def _weyl_fidelities(
     # ``transform`` without an intermediate buffer of its size
     np.take(psi, shifts, axis=1, out=transform, mode="wrap")
     np.conjugate(transform, out=transform)
-    np.multiply(transform, psi[:, None, :], out=transform)
+    # numpy copies the broadcast psi through a buffer, of 8,192 elements
+    # (128 KiB) by default; 1,024 are as fast and cost 16 KiB
+    with np.errstate():
+        np.setbufsize(1024)
+        np.multiply(transform, psi[:, None, :], out=transform)
     np.fft.fft(transform, axis=2, out=transform)
     power = transform.view(np.float64).reshape(len(psi), -1)
     np.square(power, out=power)
@@ -159,11 +171,27 @@ def teleportation_avg_fidelity_mc(
     ``_MC_WORKSPACE_BYTES`` allocated per call, in which every chunk runs
     without allocating.  The count, mean and sum of squared
     deviations of each chunk are merged into the running ones (Chan,
-    Golub & LeVeque), so memory does not grow with ``n_samples``.  A
-    negative integer seed raises ``ValidationError``.
+    Golub & LeVeque), so memory does not grow with ``n_samples``.
+
+    The draws run on one producer thread per call: it fills the normals
+    block with chunk k+1 while this thread evaluates chunk k, taking the
+    same stream in the same order as a serial loop, so the result is the
+    same to the bit.  The block changes hands through two semaphores:
+    this thread builds and normalizes each chunk's inputs from it, hands
+    it back and then runs the kernel, whose fidelities go to the spent
+    input memory.  On every exit, including an exception on either
+    thread, the producer is told to stop and is joined before the call
+    returns; an exception raised by the draws is re-raised here.
+
+    ``n_samples`` must be a Python or numpy integer (not a bool) of at
+    least 100 and a negative integer seed raises ``ValidationError``,
+    both before the producer starts.
     """
+    if not _is_int(n_samples):
+        raise ValidationError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 100:
         raise ValidationError(f"n_samples must be >= 100, got {n_samples}")
+    n_samples = int(n_samples)
     check_seed(seed)
     n = rho_resource.n
     folded = _fold_weights(bell_diagonal_coeffs(rho_resource), n)
@@ -172,33 +200,63 @@ def teleportation_avg_fidelity_mc(
     normals = np.empty((2, chunk, n))
     inputs = np.empty((chunk, n), dtype=np.complex128)
     transform = np.empty((chunk, n // 2 + 1, n), dtype=np.complex128)
+    scratch = transform.view(np.float64).reshape(-1)
+    fidelities = inputs.view(np.float64).reshape(-1)
+    starts = range(0, n_samples, chunk)
+    filled, emptied = threading.Semaphore(0), threading.Semaphore(1)
+    stop, failure = threading.Event(), []
+
+    def draw() -> None:
+        try:
+            for start in starts:
+                m = min(chunk, n_samples - start)
+                emptied.acquire()
+                if stop.is_set():
+                    return
+                rng.standard_normal(out=normals[0, :m])
+                rng.standard_normal(out=normals[1, :m])
+                filled.release()
+        except BaseException as exc:  # re-raised on the calling thread
+            failure.append(exc)
+            filled.release()
+
+    producer = threading.Thread(target=draw, name="qthresh-mc-draws", daemon=True)
+    producer.start()
     count, mean, m2 = 0, 0.0, 0.0
-    for start in range(0, n_samples, chunk):
-        m = min(chunk, n_samples - start)
-        re, im, psi = normals[0, :m], normals[1, :m], inputs[:m]
-        rng.standard_normal(out=re)
-        rng.standard_normal(out=im)
-        psi.real = re
-        psi.imag = im
-        # 1 / |z| per row, computed in the normals block once it is copied
-        np.square(normals[:, :m], out=normals[:, :m])
-        np.add(re, im, out=re)
-        scale = np.add.reduce(re, axis=1, out=im[:, 0])
-        np.sqrt(scale, out=scale)
-        np.divide(1.0, scale, out=scale)
-        parts = psi.view(np.float64)
-        np.multiply(parts, scale[:, None], out=parts)
-        fid = _weyl_fidelities(
-            folded, psi, transform[:m], normals.reshape(-1)[:m]
-        )
-        chunk_mean = float(fid.mean())
-        delta = chunk_mean - mean
-        total = count + m
-        mean += delta * m / total
-        fid -= chunk_mean
-        m2 += float(np.square(fid, out=fid).sum())
-        m2 += delta * delta * count * m / total
-        count = total
+    try:
+        for start in starts:
+            m = min(chunk, n_samples - start)
+            filled.acquire()
+            if failure:
+                raise failure[0]
+            re, im, psi = normals[0, :m], normals[1, :m], inputs[:m]
+            # 1 / |z| per row, in the transform block before the kernel
+            # overwrites it, and then repeated along each row: numpy
+            # multiplies equal-shape operands without buffering them
+            squares, squares_im = scratch[: 2 * m * n].reshape(2, m, n)
+            np.square(re, out=squares)
+            np.square(im, out=squares_im)
+            np.add(squares, squares_im, out=squares)
+            scale = np.add.reduce(squares, axis=1, out=scratch[m * n : m * n + m])
+            np.sqrt(scale, out=scale)
+            np.divide(1.0, scale, out=scale)
+            np.copyto(squares, scale[:, None])
+            np.multiply(re, squares, out=psi.real)
+            np.multiply(im, squares, out=psi.imag)
+            emptied.release()
+            fid = _weyl_fidelities(folded, psi, transform[:m], fidelities[:m])
+            chunk_mean = float(fid.mean())
+            delta = chunk_mean - mean
+            total = count + m
+            mean += delta * m / total
+            fid -= chunk_mean
+            m2 += float(np.square(fid, out=fid).sum())
+            m2 += delta * delta * count * m / total
+            count = total
+    finally:
+        stop.set()
+        emptied.release()
+        producer.join()
     exact = teleportation_avg_fidelity_exact(rho_resource)
     return TeleportResult(
         f_phi=exact.f_phi,

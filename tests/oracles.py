@@ -21,7 +21,10 @@ with the same verdict and a lower bound that may not exceed this one.
 The teleportation transfer matrix is built column by column from the
 literal measure-and-correct simulator, one N^2-outcome protocol run per
 matrix unit; it shares no code with the Weyl-channel closed form that
-the Monte Carlo fidelity uses.
+the Monte Carlo fidelity uses.  The serial Monte Carlo loop is the
+package's estimator as it was before its draws moved to a producer
+thread, kept with its broadcast kernel so that the pipelined estimator
+can be checked against it bit for bit.
 
 The remaining references compute directly what the package computes in
 closed form: the materialized dense-coding ensemble with its Holevo
@@ -52,9 +55,11 @@ from qthresh.fef import (
     _ascend,
     _fix_phase,
     _spectral_start,
+    _winner,
 )
+from qthresh.protocols import _fold_weights, _mc_chunk
 from qthresh.sampling import haar_unitary
-from qthresh.states import DensityMatrix, validate_density
+from qthresh.states import DensityMatrix, bell_diagonal_coeffs, validate_density
 
 
 def weyl_operator(n: int, a: int, b: int) -> np.ndarray:
@@ -139,7 +144,8 @@ def fef_bruteforce_n2(entries, points=30, rounds=10):
 def fef_one_batch(rho: DensityMatrix, cfg: OptimizerConfig) -> FefBounds:
     """The N >= 3 search with every start in one batch: the spectral start
     plus all ``cfg.restarts`` seeded Haar restarts ascend on every state,
-    then the winner runs on alone under the same tie rule as the package."""
+    then the winner, picked by the package's rule, runs on alone under the
+    same tie rule as the package."""
     eigenvalues, eigenvectors = spectral_decomposition(rho.entries)
     starts = np.stack(
         [_spectral_start(eigenvectors[:, 0], rho.n)]
@@ -152,7 +158,7 @@ def fef_one_batch(rho: DensityMatrix, cfg: OptimizerConfig) -> FefBounds:
     units, f, iterations, last_delta = _ascend(
         rho.entries, rho.n, starts, MAX_ITERS, STEP_TOL, shift
     )
-    best = int(np.argmax(f))
+    best = _winner(f)
     total = int(iterations.sum())
     if STEP_TOL < top - f[best] <= GAP_TOL and last_delta[best] > 0.0:
         units, f, more, last_delta = _ascend(
@@ -182,6 +188,61 @@ def _channel_transfer_matrix(resource):
             e[i, j] = 1.0
             cols.append(_channel_apply_matrix(resource, e).reshape(-1))
     return np.stack(cols, axis=1)
+
+
+def _weyl_fidelities_broadcast(folded, psi, transform, out):
+    """The Monte Carlo kernel of qthresh 0.8.0, whose broadcast multiply
+    ran under numpy's default ufunc buffer size."""
+    n = psi.shape[1]
+    shifts = np.arange(transform.shape[1])[:, None] + np.arange(n)[None, :]
+    np.take(psi, shifts, axis=1, out=transform, mode="wrap")
+    np.conjugate(transform, out=transform)
+    np.multiply(transform, psi[:, None, :], out=transform)
+    np.fft.fft(transform, axis=2, out=transform)
+    power = transform.view(np.float64).reshape(len(psi), -1)
+    np.square(power, out=power)
+    return np.matmul(power, folded, out=out)
+
+
+def teleportation_mc_serial(rho_resource: DensityMatrix, n_samples: int, seed=0):
+    """(f_avg_mc, mc_std_error) from the serial Monte Carlo loop of
+    qthresh 0.8.0: every chunk is drawn, normalized and evaluated in turn
+    on the calling thread, in the same workspace and stream order as the
+    package's pipelined estimator."""
+    n = rho_resource.n
+    folded = _fold_weights(bell_diagonal_coeffs(rho_resource), n)
+    rng = np.random.default_rng(seed)
+    chunk = _mc_chunk(n)
+    normals = np.empty((2, chunk, n))
+    inputs = np.empty((chunk, n), dtype=np.complex128)
+    transform = np.empty((chunk, n // 2 + 1, n), dtype=np.complex128)
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, n_samples, chunk):
+        m = min(chunk, n_samples - start)
+        re, im, psi = normals[0, :m], normals[1, :m], inputs[:m]
+        rng.standard_normal(out=re)
+        rng.standard_normal(out=im)
+        psi.real = re
+        psi.imag = im
+        np.square(normals[:, :m], out=normals[:, :m])
+        np.add(re, im, out=re)
+        scale = np.add.reduce(re, axis=1, out=im[:, 0])
+        np.sqrt(scale, out=scale)
+        np.divide(1.0, scale, out=scale)
+        parts = psi.view(np.float64)
+        np.multiply(parts, scale[:, None], out=parts)
+        fid = _weyl_fidelities_broadcast(
+            folded, psi, transform[:m], normals.reshape(-1)[:m]
+        )
+        chunk_mean = float(fid.mean())
+        delta = chunk_mean - mean
+        total = count + m
+        mean += delta * m / total
+        fid -= chunk_mean
+        m2 += float(np.square(fid, out=fid).sum())
+        m2 += delta * delta * count * m / total
+        count = total
+    return mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
 def fef_objective(rho: DensityMatrix, unitary: np.ndarray) -> float:

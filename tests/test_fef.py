@@ -226,9 +226,10 @@ class TestCertified:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_werner_witness_is_identity(self, n):
-        # the optimum e^{i theta} I of a Werner state, with its phase fixed
+        # the optimum e^{i theta} I of a Werner state with its phase fixed,
+        # exactly: for N >= 3 it is the spectral start's witness
         u = qt.fef_certified(qt.werner(qt.WernerParams(n, 0.5))).best_unitary
-        assert np.abs(u - np.eye(n)).max() <= 1e-9
+        assert np.array_equal(u, np.eye(n))
 
     @pytest.mark.parametrize(
         "rho",

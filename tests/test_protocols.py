@@ -1,10 +1,12 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import qthresh as qt
+from qthresh import protocols
 from qthresh.errors import ValidationError
 from qthresh.sampling import hs_random_density
 from oracles import (
@@ -17,6 +19,7 @@ from oracles import (
     phi_projector_state,
     rotate_first_factor,
     teleportation_channel_apply,
+    teleportation_mc_serial,
     tensor,
 )
 from qthresh.protocols import (
@@ -136,6 +139,22 @@ class TestMonteCarloFidelity:
         with pytest.raises(ValidationError, match="n_samples must be >= 100"):
             qt.teleportation_avg_fidelity_mc(maximally_mixed(2), 50)
 
+    @pytest.mark.parametrize("n_samples", [1000.0, True, "1000", None])
+    def test_rejects_non_integer_sample_counts(self, n_samples, monkeypatch):
+        def no_thread(*args, **kwargs):
+            pytest.fail("the producer thread was created")
+
+        # rejected before the producer thread is created
+        monkeypatch.setattr(protocols.threading, "Thread", no_thread)
+        with pytest.raises(ValidationError, match="n_samples must be an integer"):
+            qt.teleportation_avg_fidelity_mc(maximally_mixed(2), n_samples)
+
+    def test_numpy_integer_sample_count_is_stored_as_int(self):
+        rho = qt.werner(qt.WernerParams(2, 0.3))
+        result = qt.teleportation_avg_fidelity_mc(rho, np.int64(1000), seed=9)
+        assert type(result.n_samples) is int
+        assert result == qt.teleportation_avg_fidelity_mc(rho, 1000, seed=9)
+
 
 def weyl_test_resources(n):
     rng = np.random.default_rng(100 + n)
@@ -225,6 +244,99 @@ class TestWeylChannelFidelity:
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
         assert abs(faults(400_000) - faults(100_000)) <= 5_000
+
+
+def _seed(kind):
+    return {
+        "int": 5,
+        "seed_sequence": np.random.SeedSequence(5),
+        "generator": np.random.default_rng(5),
+    }[kind]
+
+
+def _call_with_watchdog(call, timeout=60.0):
+    """Run ``call`` on a daemon thread; return what it raised, failing
+    the test if it has not returned within ``timeout`` seconds."""
+    raised = []
+
+    def run():
+        try:
+            call()
+        except BaseException as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), "the Monte Carlo call hung"
+    return raised
+
+
+class _FailingDraws(np.random.Generator):
+    """A generator whose fifth draw, chunk 3's real parts, raises."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+        self.draws = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.draws += 1
+        if self.draws == 5:
+            raise RuntimeError("draw failed on chunk 3")
+        return super().standard_normal(*args, **kwargs)
+
+
+class TestPipelinedEstimator:
+    """The producer thread draws chunk k+1 while chunk k is evaluated; the
+    result must be the serial loop's to the bit, and the thread must be
+    gone on every exit."""
+
+    @pytest.mark.parametrize("seed_kind", ["int", "seed_sequence", "generator"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_serial_oracle_bit_for_bit(self, n, seed_kind):
+        rho = hs_random_density(n * n, seed=40 + n)
+        chunk = _mc_chunk(n)
+        for n_samples in (100, chunk - 1, chunk, chunk + 1, 12_345, 100_000):
+            seed, oracle_seed = _seed(seed_kind), _seed(seed_kind)
+            result = qt.teleportation_avg_fidelity_mc(rho, n_samples, seed=seed)
+            assert (result.f_avg_mc, result.mc_std_error) == teleportation_mc_serial(
+                rho, n_samples, seed=oracle_seed
+            )
+            if seed_kind == "generator":
+                assert seed.bit_generator.state == oracle_seed.bit_generator.state
+
+    def test_producer_is_joined_on_return(self):
+        before = threading.active_count()
+        qt.teleportation_avg_fidelity_mc(hs_random_density(16, seed=1), 20_000)
+        assert threading.active_count() == before
+
+    def test_producer_error_reaches_caller(self):
+        rho = hs_random_density(4, seed=1)
+        before = threading.active_count()
+        raised = _call_with_watchdog(
+            lambda: qt.teleportation_avg_fidelity_mc(rho, 100_000, seed=_FailingDraws())
+        )
+        assert [str(exc) for exc in raised] == ["draw failed on chunk 3"]
+        assert threading.active_count() == before
+
+    def test_kernel_error_stops_producer(self, monkeypatch):
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("kernel failed on chunk 3")
+            return _weyl_fidelities(*args)
+
+        monkeypatch.setattr(protocols, "_weyl_fidelities", failing)
+        rho = hs_random_density(4, seed=1)
+        before = threading.active_count()
+        raised = _call_with_watchdog(
+            lambda: qt.teleportation_avg_fidelity_mc(rho, 100_000, seed=0)
+        )
+        assert [str(exc) for exc in raised] == ["kernel failed on chunk 3"]
+        assert len(calls) == 3
+        assert threading.active_count() == before
 
 
 class TestRotationRecipe:
