@@ -4,8 +4,9 @@ A numerical toolkit for bipartite N x N mixed states centered on one
 question: how mixed can a state get before teleportation and dense
 coding stop working?  It provides:
 
-- validated density matrices and the closed-form weights of a state in
-  the maximally entangled (Weyl) basis (``states``),
+- density matrices that validate themselves on construction and keep
+  their spectrum, and the closed-form weights of a state in the
+  maximally entangled (Weyl) basis (``states``),
 - entropy functionals and the closed-form usefulness thresholds
   (``entropy``),
 - certified lower/upper bounds on the singlet fraction: exact at N = 2,
@@ -92,7 +93,6 @@ from .states import (
     partial_trace,
     save_state,
     state_to_dict,
-    validate_density,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -28,9 +28,9 @@ from .errors import (
 )
 from .fef import OptimizerConfig, fef_certified
 from .protocols import (
+    _densecoding_verdict,
     classical_fidelity,
     densecoding_chi_standard,
-    densecoding_useful,
     teleportation_avg_fidelity_exact,
     teleportation_avg_fidelity_mc,
 )
@@ -157,11 +157,12 @@ def cmd_teleport(args) -> dict:
 
 def cmd_densecode(args) -> dict:
     rho = load_state(args.file)
+    chi = densecoding_chi_standard(rho)
     return {
         "n": rho.n,
-        "holevo_chi_bits": densecoding_chi_standard(rho),
+        "holevo_chi_bits": chi,
         "threshold_bits": densecoding_threshold(rho.n),
-        "verdict": densecoding_useful(rho),
+        "verdict": _densecoding_verdict(chi, rho.n),
     }
 
 

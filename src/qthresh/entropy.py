@@ -1,8 +1,9 @@
 """Entropy functionals and the closed-form usefulness thresholds.
 
 All entropies are in bits (logarithm base 2 throughout the toolkit).
-Eigenvalues in [-1e-9, 0) are treated as PSD noise and clamped to zero
-before any logarithm; anything below -1e-9 is a validation failure.
+Eigenvalues in [-1e-9, 0] are PSD noise that ``shannon_bits`` skips;
+anything below -1e-9 is a validation failure.  A state's entropy reads
+the spectrum its ``DensityMatrix`` keeps.
 """
 
 from __future__ import annotations
@@ -43,14 +44,20 @@ def spectral_decomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def shannon_bits(probabilities) -> float:
-    """Shannon entropy of a probability vector in bits, with 0 log 0 = 0."""
+    """Shannon entropy of a probability vector in bits, with 0 log 0 = 0;
+    entries <= 0, PSD noise included, contribute nothing."""
     p = np.asarray(probabilities, dtype=float)
     pos = p[p > 0.0]
     # the trailing +0.0 turns -0.0 (all-certain distributions) into +0.0
     return float(-(pos * np.log2(pos)).sum() + 0.0)
 
 
-def _clamped_spectrum(matrix: np.ndarray) -> np.ndarray:
+def hermitian_entropy_bits(matrix: np.ndarray) -> float:
+    """Entropy of an arbitrary unit-trace Hermitian PSD matrix in bits.
+
+    Used for single-system marginals, which are not ``DensityMatrix``
+    instances (those are bipartite by construction) and carry no spectrum.
+    """
     try:
         vals = np.linalg.eigvalsh(matrix)
     except np.linalg.LinAlgError as exc:
@@ -58,21 +65,12 @@ def _clamped_spectrum(matrix: np.ndarray) -> np.ndarray:
     low = float(vals.min())
     if low < -PSD_CLAMP:
         raise ValidationError(f"eigenvalue {low:.3e} below -{PSD_CLAMP:.0e}")
-    return np.where(vals < 0.0, 0.0, vals)
-
-
-def hermitian_entropy_bits(matrix: np.ndarray) -> float:
-    """Entropy of an arbitrary unit-trace Hermitian PSD matrix in bits.
-
-    Used for single-system marginals, which are not ``DensityMatrix``
-    instances (those are bipartite by construction).
-    """
-    return shannon_bits(_clamped_spectrum(matrix))
+    return shannon_bits(vals)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum lambda_i log2 lambda_i over the clamped spectrum of rho."""
-    return shannon_bits(_clamped_spectrum(rho.entries))
+    """-sum lambda_i log2 lambda_i over the spectrum rho keeps."""
+    return shannon_bits(rho.spectrum)
 
 
 def linear_entropy(rho: DensityMatrix) -> float:

@@ -79,9 +79,7 @@ def bell_diagonal(n: int, weights) -> DensityMatrix:
         raise ValidationError(f"negative weight {w.min():.3e}")
     if abs(float(w.sum()) - 1.0) > 1e-9:
         raise ValidationError(f"weights sum to {w.sum():.12f}, not 1")
-    entries = _bell_diagonal_entries(n, w)
-    entries = (entries + entries.conj().T) / 2.0
-    return DensityMatrix(n=n, entries=entries)
+    return DensityMatrix(n, _bell_diagonal_entries(n, w))
 
 
 def extremal_threshold_state(n: int) -> DensityMatrix:

@@ -291,7 +291,11 @@ def densecoding_chi_standard(rho: DensityMatrix) -> float:
 def densecoding_useful(rho: DensityMatrix) -> DenseCodingVerdict:
     """Useful iff the standard-ensemble Holevo quantity beats log2 N by
     more than ``VERDICT_MARGIN``."""
-    chi = densecoding_chi_standard(rho)
-    if chi > densecoding_threshold(rho.n) + VERDICT_MARGIN:
+    return _densecoding_verdict(densecoding_chi_standard(rho), rho.n)
+
+
+def _densecoding_verdict(chi: float, n: int) -> DenseCodingVerdict:
+    """``densecoding_useful``'s rule on a Holevo quantity already known."""
+    if chi > densecoding_threshold(n) + VERDICT_MARGIN:
         return DenseCodingVerdict.USEFUL
     return DenseCodingVerdict.NOT_USEFUL

@@ -29,7 +29,7 @@ from .fef import (
     usable_for_teleportation,
 )
 from .protocols import densecoding_chi_standard
-from .sampling import SamplerSpec, sample
+from .sampling import SamplerSpec, _is_int, sample
 from .states import DensityMatrix, _require_local_dim, state_to_dict
 
 
@@ -182,8 +182,11 @@ def verify_theorem(
     with S above the threshold is that same violation.
     """
     n = _require_local_dim(n)
+    if not _is_int(samples):
+        raise ValidationError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
+    samples = int(samples)
     sampler = (
         sampler
         if sampler is not None
@@ -282,6 +285,8 @@ def sweep_werner(n: int, grid_points: int) -> list[SweepRow]:
     rule ``analyze_rho`` prints, so the marker rows, which sit on their
     thresholds, read 0 rather than a side picked by rounding.
     """
+    if not _is_int(grid_points):
+        raise ValidationError(f"grid_points must be an integer, got {grid_points!r}")
     if grid_points < 2:
         raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
     crit = critical_epsilons(n)

@@ -6,7 +6,8 @@ Generator), and the output is fully determined by its arguments.
 ``sample(spec, index)`` derives an independent stream per index from the
 spec's integer seed, so batch generation is order- and
 partition-independent.  Two kinds are sampled: full-rank
-Hilbert-Schmidt states, and the same states mixed toward I/N^2.
+Hilbert-Schmidt states, and the same states mixed toward I/N^2, each
+checked once, by its ``DensityMatrix`` construction.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .states import DensityMatrix, validate_density
+from .states import DensityMatrix
 
 KINDS = ("hilbert_schmidt", "high_entropy")
 
@@ -59,7 +60,7 @@ class SamplerSpec:
             raise ValidationError(
                 f"mix_toward_identity must lie in [0, 1], got {self.mix_toward_identity}"
             )
-        if not isinstance(self.seed, (int, np.integer)):
+        if not _is_int(self.seed):
             raise ValidationError(
                 f"SamplerSpec seed must be an integer, got {type(self.seed).__name__}"
             )
@@ -99,6 +100,14 @@ def haar_unitary(n: int, seed=0) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _hs_matrix(dim: int, seed) -> np.ndarray:
+    """G G^dagger / Tr(G G^dagger) for a dim x dim complex Ginibre G."""
+    g = _ginibre(np.random.default_rng(seed), dim)
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    return m
+
+
 def hs_random_density(dim: int, seed=0) -> DensityMatrix:
     """G G^dagger / Tr(G G^dagger) for a square dim x dim complex Ginibre
     G: the Hilbert-Schmidt measure.
@@ -111,24 +120,23 @@ def hs_random_density(dim: int, seed=0) -> DensityMatrix:
         raise ValidationError(
             f"dim must be a perfect square (bipartite N^2), got {dim}"
         )
-    g = _ginibre(np.random.default_rng(seed), dim)
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return validate_density(m, n)
+    return DensityMatrix(n, _hs_matrix(dim, seed))
 
 
 def high_entropy_density(n: int, mix: float, seed=0) -> DensityMatrix:
     """Hilbert-Schmidt sample pushed toward I/N^2 by a convex ``mix``.
 
     Plain Hilbert-Schmidt sampling rarely reaches the high-entropy
-    regime at larger N; mixing toward the identity does.
+    regime at larger N; mixing toward the identity does.  Only the mixture
+    is checked; the base is symmetrized first, as G G^dagger is not exactly
+    Hermitian in floating point.
     """
     if not (0.0 <= mix <= 1.0):
         raise ValidationError(f"mix must lie in [0, 1], got {mix}")
     d = n * n
-    base = hs_random_density(d, seed)
-    m = (1.0 - mix) * base.entries + mix * np.eye(d) / d
-    return validate_density(m, n)
+    base = _hs_matrix(d, seed)
+    base = (base + base.conj().T) / 2.0
+    return DensityMatrix(n, (1.0 - mix) * base + mix * np.eye(d) / d)
 
 
 def sample(spec: SamplerSpec, index: int = 0) -> DensityMatrix:

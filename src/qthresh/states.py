@@ -1,6 +1,7 @@
 """Linear-algebra substrate for bipartite N x N states.
 
-Validated density matrices (every rejection is a ``ValidationError``),
+Density matrices that check themselves on construction (every
+rejection is a ``ValidationError``) and keep their spectrum,
 the partial trace over the first factor, the state file format, and the
 two closed-form transforms between a state and its weights in
 the maximally entangled basis |s_ab> = (X^a Z^b (x) I)|Phi> (X the cyclic
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,68 +32,50 @@ def _require_local_dim(n) -> int:
     return int(n)
 
 
-def _as_complex(matrix) -> np.ndarray:
-    return np.ascontiguousarray(matrix, dtype=np.complex128)
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Bipartite N x N mixed state: N^2 x N^2 Hermitian, unit-trace, PSD.
-
-    Direct construction trusts the entries (used by closed-form
-    constructors whose output is correct by construction); go through
-    ``validate_density`` for anything read from outside.
+    """Bipartite N x N mixed state, checked on construction: finite,
+    Hermitian, unit-trace and PSD, each to ``DEFAULT_TOL``.  ``entries``
+    is the read-only Hermitian part (M + M^dagger)/2 of the input, and
+    ``spectrum`` its read-only ascending ``eigvalsh`` from the PSD check.
     """
 
     n: int
     entries: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _require_local_dim(self.n))
-        entries = _as_complex(self.entries)
-        d = self.n * self.n
-        if entries.shape != (d, d):
+        n = _require_local_dim(self.n)
+        mat = np.asarray(self.entries, dtype=np.complex128)
+        d = n * n
+        if mat.shape != (d, d):
             raise ValidationError(
-                f"expected {d}x{d} entries for local dimension {self.n}, "
-                f"got shape {entries.shape}"
+                f"expected shape ({d}, {d}) for local dimension {n}, got {mat.shape}"
             )
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-
-def validate_density(raw, n: int) -> DensityMatrix:
-    """Check Hermiticity, unit trace and positivity, each to
-    ``DEFAULT_TOL``, returning the state.
-
-    The stored matrix is the Hermitian part (M + M^dagger)/2, which
-    absorbs file-format rounding; anything whose anti-Hermitian part
-    exceeds the tolerance is rejected rather than silently symmetrized
-    away.  The input is not modified.
-    """
-    n = _require_local_dim(n)
-    mat = _as_complex(raw)
-    d = n * n
-    if mat.shape != (d, d):
-        raise ValidationError(
-            f"expected shape ({d}, {d}) for local dimension {n}, got {mat.shape}"
-        )
-    if not np.isfinite(mat).all():
-        raise ValidationError("matrix contains NaN or Inf entries")
-    herm_dev = float(np.abs(mat - mat.conj().T).max())
-    if herm_dev > DEFAULT_TOL:
-        raise ValidationError(
-            f"max |M - M^dagger| = {herm_dev:.3e} exceeds tolerance {DEFAULT_TOL:.1e}"
-        )
-    sym = (mat + mat.conj().T) / 2.0
-    trace_dev = abs(complex(np.trace(sym)) - 1.0)
-    if trace_dev > DEFAULT_TOL:
-        raise ValidationError(
-            f"|trace - 1| = {trace_dev:.3e} exceeds tolerance {DEFAULT_TOL:.1e}"
-        )
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    if min_eig < -DEFAULT_TOL:
-        raise ValidationError(f"minimum eigenvalue {min_eig:.3e} below -{DEFAULT_TOL:.1e}")
-    return DensityMatrix(n=n, entries=sym)
+        if not np.isfinite(mat).all():
+            raise ValidationError("matrix contains NaN or Inf entries")
+        herm_dev = float(np.abs(mat - mat.conj().T).max())
+        if herm_dev > DEFAULT_TOL:
+            raise ValidationError(
+                f"max |M - M^dagger| = {herm_dev:.3e} exceeds tolerance {DEFAULT_TOL:.1e}"
+            )
+        sym = (mat + mat.conj().T) / 2.0
+        trace_dev = abs(complex(np.trace(sym)) - 1.0)
+        if trace_dev > DEFAULT_TOL:
+            raise ValidationError(
+                f"|trace - 1| = {trace_dev:.3e} exceeds tolerance {DEFAULT_TOL:.1e}"
+            )
+        spectrum = np.linalg.eigvalsh(sym)
+        min_eig = float(spectrum[0])
+        if min_eig < -DEFAULT_TOL:
+            raise ValidationError(
+                f"minimum eigenvalue {min_eig:.3e} below -{DEFAULT_TOL:.1e}"
+            )
+        sym.setflags(write=False)
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", sym)
+        object.__setattr__(self, "spectrum", spectrum)
 
 
 def _weyl_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +162,7 @@ def state_from_dict(payload) -> DensityMatrix:
         raise ValidationError("'matrix' entries must be two-element [re, im] arrays")
     if not np.isfinite(arr).all():
         raise ValidationError("'matrix' contains NaN or Inf")
-    return validate_density(arr[..., 0] + 1j * arr[..., 1], n)
+    return DensityMatrix(n, arr[..., 0] + 1j * arr[..., 1])
 
 
 def load_state(path) -> DensityMatrix:

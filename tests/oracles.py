@@ -30,7 +30,8 @@ The remaining references compute directly what the package computes in
 closed form: the materialized dense-coding ensemble with its Holevo
 quantity, the first-factor rotation that links the optimizer's witness
 to the teleportation fidelity, the Shannon entropy of the weights in a
-maximally entangled basis, and the exact singlet fraction of a
+maximally entangled basis, the entropy from a second eigenvalue solve
+of a state's entries, and the exact singlet fraction of a
 basis-diagonal state, and the partial trace over the second factor.
 The small constructors at the end (|Phi><Phi|, the maximally mixed
 state, the antisymmetric Werner state, the extremal state's weights,
@@ -59,7 +60,7 @@ from qthresh.fef import (
 )
 from qthresh.protocols import _fold_weights, _mc_chunk
 from qthresh.sampling import haar_unitary
-from qthresh.states import DensityMatrix, bell_diagonal_coeffs, validate_density
+from qthresh.states import DensityMatrix, bell_diagonal_coeffs
 
 
 def weyl_operator(n: int, a: int, b: int) -> np.ndarray:
@@ -255,6 +256,13 @@ def fef_objective(rho: DensityMatrix, unitary: np.ndarray) -> float:
     return float(np.einsum("i,ij,j->", u.conj(), rho.entries, u).real) / rho.n
 
 
+def entropy_solved_again(rho: DensityMatrix) -> float:
+    """The entropy as it was computed before states kept their spectrum:
+    a second ``eigvalsh`` of the entries, clamped at zero."""
+    vals = np.linalg.eigvalsh(rho.entries)
+    return shannon_bits(np.where(vals < 0.0, 0.0, vals))
+
+
 def shannon_entropy_in_basis(rho: DensityMatrix, basis: np.ndarray) -> float:
     """Shannon entropy of the diagonal weights of rho in a maximally
     entangled basis; never below the von Neumann entropy."""
@@ -424,7 +432,7 @@ def ginibre_density(dim: int, rank: int, seed=0) -> DensityMatrix:
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
     m /= np.trace(m).real
-    return validate_density(m, math.isqrt(dim))
+    return DensityMatrix(math.isqrt(dim), m)
 
 
 def haar_pure(dim: int, seed=0) -> np.ndarray:

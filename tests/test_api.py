@@ -64,7 +64,6 @@ PUBLIC_NAMES = [
     "teleportation_avg_fidelity_exact",
     "teleportation_avg_fidelity_mc",
     "usable_for_teleportation",
-    "validate_density",
     "verify_theorem",
     "von_neumann_entropy",
     "werner",

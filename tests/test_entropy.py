@@ -3,11 +3,13 @@ import pytest
 
 import qthresh as qt
 from qthresh.errors import ValidationError
-from qthresh.sampling import hs_random_density
+from qthresh import cli
+from qthresh.sampling import high_entropy_density, hs_random_density
 
 from oracles import (
     bell_basis,
     canonical_phi,
+    entropy_solved_again,
     extremal_weights,
     maximally_mixed,
     phi_projector_state,
@@ -43,7 +45,7 @@ class TestVonNeumannEntropy:
         for seed in range(10):
             rho = hs_random_density(4, seed=seed)
             u = qt.haar_unitary(4, seed=seed + 100)
-            rotated = qt.validate_density(u @ rho.entries @ u.conj().T, 2)
+            rotated = qt.DensityMatrix(2, u @ rho.entries @ u.conj().T)
             assert qt.von_neumann_entropy(rotated) == pytest.approx(
                 qt.von_neumann_entropy(rho), abs=1e-9
             )
@@ -174,3 +176,77 @@ class TestSpectralDecomposition:
         rho = hs_random_density(4, seed=4)
         _, v = qt.spectral_decomposition(rho.entries)
         assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-9
+
+
+class TestStoredSpectrum:
+    """A state's entropy reads the spectrum its construction solved for:
+    the same number, to the bit, as a second solve of its entries."""
+
+    def _states(self, tmp_path):
+        for n in range(2, 9):
+            for seed in range(3):
+                yield hs_random_density(n * n, seed=10 * n + seed)
+                yield high_entropy_density(n, 0.9, seed=10 * n + seed)
+            yield qt.werner(qt.WernerParams(n, 0.37))
+            yield qt.extremal_threshold_state(n)
+            yield qt.bell_diagonal(n, extremal_weights(n))
+            path = tmp_path / f"state{n}.json"
+            qt.save_state(hs_random_density(n * n, seed=n), path)
+            yield qt.load_state(path)
+
+    def test_entropy_equals_a_second_solve(self, tmp_path):
+        for rho in self._states(tmp_path):
+            assert qt.von_neumann_entropy(rho) == entropy_solved_again(rho)
+
+    def test_spectrum_is_read_only_and_the_entries_eigenvalues(self, tmp_path):
+        for rho in self._states(tmp_path):
+            np.testing.assert_array_equal(
+                rho.spectrum, np.linalg.eigvalsh(rho.entries), strict=True
+            )
+            with pytest.raises(ValueError, match="read-only"):
+                rho.spectrum[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                rho.entries[0, 0] = 0.0
+
+    def test_spectrum_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            qt.DensityMatrix(2, np.eye(4) / 4, np.full(4, 0.25))
+
+
+class TestSolvesPerState:
+    """eigvalsh and eigh calls on the way from a state to its verdict."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        counts = {"eigvalsh": 0, "eigh": 0}
+        for name in counts:
+            solve = getattr(np.linalg, name)
+
+            def counting(*args, _solve=solve, _name=name, **kwargs):
+                counts[_name] += 1
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        return counts
+
+    @pytest.mark.parametrize(
+        "n, spec",
+        [
+            (2, qt.SamplerSpec("hilbert_schmidt", 4, seed=3)),
+            (3, qt.SamplerSpec("high_entropy", 9, mix_toward_identity=0.9, seed=3)),
+        ],
+        ids=["n2_hs", "n3_high_entropy"],
+    )
+    def test_verify_solves_once_per_sample(self, solves, n, spec):
+        qt.verify_theorem(n, 6, spec)
+        assert solves == {"eigvalsh": 6, "eigh": 6}
+
+    def test_analyze_and_densecode_on_one_file(self, solves, tmp_path, capsys):
+        # two file loads and two marginals; the states' own entropies
+        # read the spectra the loads solved for
+        path = tmp_path / "state.json"
+        qt.save_state(hs_random_density(64, seed=5), path)
+        solves["eigvalsh"] = 0
+        assert cli.main(["analyze", str(path), "--json"]) == 0
+        assert cli.main(["densecode", str(path), "--json"]) == 0
+        assert solves["eigvalsh"] == 4

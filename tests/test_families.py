@@ -36,7 +36,7 @@ class TestWernerConstruction:
         for n in (2, 3):
             for eps in (0.0, 0.3, 1.0):
                 rho = qt.werner(qt.WernerParams(n, eps))
-                qt.validate_density(rho.entries, n)
+                qt.DensityMatrix(n, rho.entries)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValidationError, match="epsilon must lie in"):

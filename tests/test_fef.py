@@ -179,7 +179,7 @@ class TestCertified:
                 v = qt.haar_unitary(n, seed=200 + i)
                 w = qt.haar_unitary(n, seed=300 + i)
                 vw = tensor(v, w)
-                rotated = qt.validate_density(vw @ rho.entries @ vw.conj().T, n)
+                rotated = qt.DensityMatrix(n, vw @ rho.entries @ vw.conj().T)
                 assert qt.fef_certified(rotated).lower == pytest.approx(
                     qt.fef_certified(rho).lower, abs=1e-6
                 )
@@ -326,7 +326,7 @@ class TestTwoQubitProperties:
     def test_local_unitary_invariance(self, seed, v_seed, w_seed):
         rho = hs_random_density(4, seed=seed)
         vw = tensor(qt.haar_unitary(2, seed=v_seed), qt.haar_unitary(2, seed=w_seed))
-        rotated = qt.validate_density(vw @ rho.entries @ vw.conj().T, 2)
+        rotated = qt.DensityMatrix(2, vw @ rho.entries @ vw.conj().T)
         assert abs(
             qt.fef_certified(rotated).lower - qt.fef_certified(rho).lower
         ) <= 1e-9
@@ -412,7 +412,7 @@ class TestPowerStep:
             rho = hs_random_density(9, seed=500 + i)
             u = qt.haar_unitary(3, seed=600 + i)
             uu = tensor(u, u.conj())
-            rotated = qt.validate_density(uu @ rho.entries @ uu.conj().T, 3)
+            rotated = qt.DensityMatrix(3, uu @ rho.entries @ uu.conj().T)
             assert abs(
                 qt.fef_certified(rotated).lower - qt.fef_certified(rho).lower
             ) <= 1e-9

@@ -109,6 +109,16 @@ class TestVerifyTheorem:
                 2, 10, qt.SamplerSpec(kind="hilbert_schmidt", dim=9, seed=0)
             )
 
+    @pytest.mark.parametrize("samples", [True, 2.5], ids=["bool", "float"])
+    def test_rejects_non_integer_samples(self, samples):
+        with pytest.raises(ValidationError, match="samples must be an integer"):
+            qt.verify_theorem(2, samples)
+
+    def test_numpy_integer_samples_stored_as_int(self):
+        summary = qt.verify_theorem(2, np.int64(3))
+        assert type(summary.samples) is int
+        assert json.loads(json.dumps(summary.to_dict()))["samples"] == 3
+
     def test_rejects_zero_samples(self):
         with pytest.raises(ValidationError, match="samples must be >= 1"):
             qt.verify_theorem(2, 0)
@@ -235,6 +245,11 @@ class TestWernerSweep:
             assert abs(float(fields[5]) - row.f_avg) <= 1e-6
             assert int(fields[6]) == int(row.above_t_vn)
             assert int(fields[7]) == int(row.above_t_dc)
+
+    @pytest.mark.parametrize("points", [True, 3.5], ids=["bool", "float"])
+    def test_rejects_non_integer_grid_points(self, points):
+        with pytest.raises(ValidationError, match="grid_points must be an integer"):
+            qt.sweep_werner(2, points)
 
     def test_rejects_single_point(self):
         with pytest.raises(ValidationError, match="grid_points must be >= 2"):

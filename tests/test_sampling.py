@@ -57,7 +57,7 @@ class TestHSRandomDensity:
     def test_validates(self):
         for seed in range(20):
             rho = hs_random_density(9, seed=seed)
-            qt.validate_density(rho.entries, 3)
+            qt.DensityMatrix(3, rho.entries)
 
     def test_rank_one_is_pure(self):
         # the oracle's low-rank draws, used by the fef property tests
@@ -160,8 +160,8 @@ class TestSamplerSpec:
 
     @pytest.mark.parametrize(
         "seed",
-        [np.random.SeedSequence(1), np.random.default_rng(1), 1.0, "1"],
-        ids=["seed_sequence", "generator", "float", "str"],
+        [np.random.SeedSequence(1), np.random.default_rng(1), 1.0, "1", True],
+        ids=["seed_sequence", "generator", "float", "str", "bool"],
     )
     def test_rejects_non_integer_seed(self, seed):
         with pytest.raises(ValidationError, match="seed must be an integer"):

@@ -22,43 +22,43 @@ from oracles import (
 
 class TestValidateDensity:
     def test_maximally_mixed_is_valid(self):
-        rho = qt.validate_density(np.eye(4) / 4, 2)
+        rho = qt.DensityMatrix(2, np.eye(4) / 4)
         assert rho.n == 2
         np.testing.assert_allclose(rho.entries, np.eye(4) / 4)
 
     def test_not_psd(self):
         with pytest.raises(ValidationError, match="minimum eigenvalue -?0?\\.?0?5"):
-            qt.validate_density(np.diag([0.55, 0.5, 0.0, -0.05]), 2)
+            qt.DensityMatrix(2, np.diag([0.55, 0.5, 0.0, -0.05]))
 
     def test_trace_not_one(self):
         with pytest.raises(ValidationError, match="trace - 1"):
-            qt.validate_density(np.diag([0.5, 0.6, 0.0, 0.0]), 2)
+            qt.DensityMatrix(2, np.diag([0.5, 0.6, 0.0, 0.0]))
 
     def test_wrong_shape(self):
         with pytest.raises(ValidationError, match="expected shape"):
-            qt.validate_density(np.eye(3) / 3, 2)
+            qt.DensityMatrix(2, np.eye(3) / 3)
 
     def test_not_hermitian(self):
         mat = np.eye(4, dtype=complex) / 4
         mat[0, 1] = 0.1
         with pytest.raises(ValidationError, match="M - M\\^dagger"):
-            qt.validate_density(mat, 2)
+            qt.DensityMatrix(2, mat)
 
     def test_symmetrizes_small_asymmetry(self):
         mat = np.eye(4, dtype=complex) / 4
         mat[0, 1] = 1e-11
-        rho = qt.validate_density(mat, 2)
+        rho = qt.DensityMatrix(2, mat)
         np.testing.assert_allclose(rho.entries, rho.entries.conj().T)
 
     def test_input_not_modified(self):
         mat = np.eye(4, dtype=complex) / 4
         copy = mat.copy()
-        qt.validate_density(mat, 2)
+        qt.DensityMatrix(2, mat)
         np.testing.assert_array_equal(mat, copy)
 
     def test_invalid_dimension(self):
         with pytest.raises(ValidationError, match="local dimension"):
-            qt.validate_density(np.eye(1), 1)
+            qt.DensityMatrix(1, np.eye(1))
 
 
 class TestLocalDimension:
@@ -66,7 +66,7 @@ class TestLocalDimension:
         rho = qt.werner(qt.WernerParams(np.int64(3), 0.5))
         assert type(rho.n) is int
         json.dumps(qt.state_to_dict(rho))
-        assert type(qt.validate_density(np.eye(4) / 4, np.int32(2)).n) is int
+        assert type(qt.DensityMatrix(np.int32(2), np.eye(4) / 4).n) is int
         assert qt.teleport_threshold_vn(np.int64(3)) == qt.teleport_threshold_vn(3)
         summary = qt.verify_theorem(np.int64(2), 5)
         assert type(summary.n) is int
@@ -213,12 +213,13 @@ class TestBellDiagonalCoeffs:
             )
 
     def test_rejects_non_hermitian_weights(self):
-        # a direct DensityMatrix is trusted, so the realness check is what
-        # catches an anti-Hermitian part on the basis diagonal
+        # an anti-Hermitian part that would put imaginary weights on the
+        # basis diagonal cannot reach bell_diagonal_coeffs: construction
+        # rejects it
         entries = np.eye(4, dtype=complex) / 4
         entries[0, 3] = 0.25j
-        with pytest.raises(qt.NumericalInstability, match="imaginary"):
-            qt.bell_diagonal_coeffs(qt.DensityMatrix(2, entries))
+        with pytest.raises(ValidationError, match="M - M\\^dagger"):
+            qt.DensityMatrix(2, entries)
 
 
 class TestTensorAndPartialTrace:
@@ -253,7 +254,7 @@ class TestTensorAndPartialTrace:
     def test_product_state_marginals(self):
         a = np.diag([0.7, 0.3]).astype(complex)
         b = np.diag([0.1, 0.9]).astype(complex)
-        rho = qt.validate_density(tensor(a, b), 2)
+        rho = qt.DensityMatrix(2, tensor(a, b))
         np.testing.assert_allclose(partial_trace_second(rho), a, atol=1e-12)
         np.testing.assert_allclose(qt.partial_trace(rho), b, atol=1e-12)
 
