@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 input/validation error,
-3 theorem violation.  Each subcommand builds one payload dict.
-``--json`` emits it as JSON (12 significant digits, sorted keys,
-byte-identical for identical seeds); without it the payload prints as a
-table.
+Exit codes: 0 success, 1 usage error, 2 input/validation error (a
+file that cannot be read or written included), 3 theorem violation.
+Each subcommand builds one payload dict.  ``--json`` emits it as JSON
+(12 significant digits, sorted keys, byte-identical for identical
+seeds); without it the payload prints as a table.
 """
 
 from __future__ import annotations
@@ -117,8 +117,11 @@ def cmd_verify(args) -> dict:
 
 def cmd_sweep(args) -> dict:
     rows = sweep_werner(args.n, args.points)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(sweep_csv(rows))
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(sweep_csv(rows))
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return {"n": args.n, "rows": [r.to_dict() for r in rows]}
 

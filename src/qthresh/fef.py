@@ -19,7 +19,11 @@ by the generalized power method (Journee, Nesterov, Richtarik &
 Sepulchre, JMLR 11, 517 (2010)) with the spectral shift of the power
 method (Golub & Van Loan, Matrix Computations, Sec. 7.3):
 U <- polar(mat((rho - mu I) u)), mu = lambda_min(rho), monotone with no
-step size.  The best objective over all starts is a certified *lower*
+step size.  All starts ascend in one batch, with one polar
+decomposition per iteration, and the batch keeps only the starts still
+running: a start runs on only while its step raised f, so every running
+start has accepted its candidate, and a start is written out once, when
+it stops.  The best objective over all starts is a certified *lower*
 bound (it is attained by an explicit state).  The matching upper bound
 is lambda_max(rho), which dominates <Psi|rho|Psi> for every unit vector
 |Psi>.
@@ -45,7 +49,7 @@ import numpy as np
 
 from .errors import NumericalInstability, ValidationError
 from .entropy import spectral_decomposition
-from .sampling import haar_unitary
+from .sampling import _is_int, haar_unitary
 from .states import DensityMatrix
 
 GAP_TOL = 1e-6
@@ -62,12 +66,21 @@ class OptimizerConfig:
     All ``restarts`` of them run, in the spectral start's batch, exactly
     when lambda_max > 1/N + ``VERDICT_MARGIN``; otherwise none runs.
     Restart r starts from ``haar_unitary(N, (seed ^ r) & (2**64 - 1))``.
+    Both fields take Python or numpy integers, not bools, and are stored
+    as Python ints; a negative seed is allowed.
     """
 
     restarts: int = 16
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValidationError(
+                    f"{name} must be an integer, got {type(value).__name__}"
+                )
+            object.__setattr__(self, name, int(value))
         if self.restarts < 1:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
 
@@ -122,7 +135,7 @@ def _polar(batch: np.ndarray) -> np.ndarray:
 def _ascend(rho_entries, n, starts, max_iters, step_tol, shift):
     """Batched generalized power method over the unitary group.
 
-    Each iteration replaces every active restart's U by V, the polar
+    Each iteration replaces every running start's U by V, the polar
     factor of mat((rho - shift I) u).  With shift = lambda_min(rho) the
     shifted matrix is still positive semidefinite, so f - shift is
     convex and lies above its tangent plane, and V maximizes the linear
@@ -131,45 +144,61 @@ def _ascend(rho_entries, n, starts, max_iters, step_tol, shift):
     exactly the constant ``shift`` and leaves maximizers and stationary
     points alone; it only removes the shift U that the flat part of rho
     adds to every step direction, which stalls the unshifted step on
-    nearly maximally mixed states.  A candidate is accepted when the
-    unshifted f does not drop, so each restart's objective sequence is
-    non-decreasing even under rounding.  A restart stops once its gain is
-    below ``step_tol`` or not positive; by the same inequality a zero
-    gain means U itself maximizes the linear term, the fixed-point
-    condition of the method, so up to rounding a stopped restart has
-    converged.
+    nearly maximally mixed states.  A start keeps running only while its
+    gain in the unshifted f is positive and at least ``step_tol``; by the
+    same inequality a zero gain means U itself maximizes the linear
+    term, the fixed-point condition of the method, so up to rounding a
+    stopped start has converged.  A NaN gain stops its start too.
+
+    Every running start has therefore accepted its candidate, and the
+    loop carries only the running starts, as dense arrays whose rows are
+    their candidates.  A start that stops is written out then, at the
+    candidate if its gain is >= 0 and at its previous point otherwise
+    (a NaN gain included), so each start's objective sequence is
+    non-decreasing even under rounding.  The polar factors, products and
+    row sums are taken over exactly the running starts.
 
     Returns (unitaries, objectives, iterations, last_deltas).
     """
     b = starts.shape[0]
-    units = np.array(starts, dtype=np.complex128)
     rho_t = np.ascontiguousarray(rho_entries.T)
-    us = units.reshape(b, n * n)
+    us = np.array(starts, dtype=np.complex128).reshape(b, n * n)
     ru = us @ rho_t
     f = (us.conj() * ru).sum(axis=1).real / n
-    active = np.ones(b, dtype=bool)
-    iterations = np.zeros(b, dtype=np.int64)
-    last_delta = np.full(b, np.inf)
+    units = np.empty((b, n, n), dtype=np.complex128)
+    objectives = np.empty(b)
+    iterations = np.empty(b, dtype=np.int64)
+    last_delta = np.empty(b)
+    live = np.arange(b)
+    delta = np.full(b, np.inf)
+    it = 0
 
-    for _ in range(max_iters):
-        if not active.any():
+    for it in range(1, max_iters + 1):
+        if not live.size:
             break
-        idx = np.flatnonzero(active)
-        cand_u = _polar((ru[idx] - shift * us[idx]).reshape(-1, n, n))
-        cand_us = cand_u.reshape(-1, n * n)
+        cand_us = _polar((ru - shift * us).reshape(-1, n, n)).reshape(-1, n * n)
         cand_ru = cand_us @ rho_t
         cand_f = (cand_us.conj() * cand_ru).sum(axis=1).real / n
-        delta = cand_f - f[idx]
-        improved = delta >= 0.0
-        acc = idx[improved]
-        units[acc] = cand_u[improved]
-        ru[acc] = cand_ru[improved]
-        f[acc] = cand_f[improved]
-        iterations[idx] += 1
-        last_delta[idx] = delta
-        active[idx[(delta < step_tol) | (delta <= 0.0)]] = False
+        delta = cand_f - f
+        running = (delta >= step_tol) & (delta > 0.0)
+        if not running.all():
+            stop = ~running
+            took = delta[stop] >= 0.0
+            rows = live[stop]
+            final = np.where(took[:, None], cand_us[stop], us[stop])
+            units[rows] = final.reshape(-1, n, n)
+            objectives[rows] = np.where(took, cand_f[stop], f[stop])
+            iterations[rows] = it
+            last_delta[rows] = delta[stop]
+            live, delta, cand_f = live[running], delta[running], cand_f[running]
+            cand_us, cand_ru = cand_us[running], cand_ru[running]
+        us, ru, f = cand_us, cand_ru, cand_f
 
-    return units, f, iterations, last_delta
+    units[live] = us.reshape(-1, n, n)
+    objectives[live] = f
+    iterations[live] = it
+    last_delta[live] = delta
+    return units, objectives, iterations, last_delta
 
 
 def _spectral_start(top_vector: np.ndarray, n: int) -> np.ndarray:

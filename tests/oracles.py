@@ -55,6 +55,7 @@ from qthresh.fef import (
     OptimizerConfig,
     _ascend,
     _fix_phase,
+    _polar,
     _spectral_start,
     _winner,
 )
@@ -176,6 +177,46 @@ def fef_one_batch(rho: DensityMatrix, cfg: OptimizerConfig) -> FefBounds:
         iterations_total=total,
         converged=(upper - lower) <= GAP_TOL or bool(last_delta[best] < STEP_TOL),
     )
+
+
+def ascend_masked(rho_entries, n, starts, max_iters, step_tol, shift):
+    """The package's power-step loop as it was before it carried only its
+    running starts: every iteration re-selects the active starts with
+    ``flatnonzero`` and writes the accepted candidates back by mask.
+    Kept verbatim as the oracle for the package's loop, which must match
+    it bit for bit; a NaN gain here neither accepts nor stops its start.
+
+    Returns (unitaries, objectives, iterations, last_deltas).
+    """
+    b = starts.shape[0]
+    units = np.array(starts, dtype=np.complex128)
+    rho_t = np.ascontiguousarray(rho_entries.T)
+    us = units.reshape(b, n * n)
+    ru = us @ rho_t
+    f = (us.conj() * ru).sum(axis=1).real / n
+    active = np.ones(b, dtype=bool)
+    iterations = np.zeros(b, dtype=np.int64)
+    last_delta = np.full(b, np.inf)
+
+    for _ in range(max_iters):
+        if not active.any():
+            break
+        idx = np.flatnonzero(active)
+        cand_u = _polar((ru[idx] - shift * us[idx]).reshape(-1, n, n))
+        cand_us = cand_u.reshape(-1, n * n)
+        cand_ru = cand_us @ rho_t
+        cand_f = (cand_us.conj() * cand_ru).sum(axis=1).real / n
+        delta = cand_f - f[idx]
+        improved = delta >= 0.0
+        acc = idx[improved]
+        units[acc] = cand_u[improved]
+        ru[acc] = cand_ru[improved]
+        f[acc] = cand_f[improved]
+        iterations[idx] += 1
+        last_delta[idx] = delta
+        active[idx[(delta < step_tol) | (delta <= 0.0)]] = False
+
+    return units, f, iterations, last_delta
 
 
 def _channel_transfer_matrix(resource):

@@ -3,13 +3,17 @@ removed from the package namespace fails here until the list is updated.
 The options are pinned the same way: the fields of ``OptimizerConfig``
 and ``SamplerSpec``, the sampler kinds and each CLI subcommand's
 options.  The package docstring's
-example runs here too, and the package version is the one in
-``pyproject.toml``."""
+example runs here too, the package version is the one in
+``pyproject.toml``, and importing the package in a fresh interpreter
+loads nothing outside numpy and the standard library."""
 
 import argparse
 import dataclasses
 import doctest
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -144,3 +148,24 @@ def test_version_matches_pyproject():
 def test_package_docstring_example_runs():
     failures, attempted = doctest.testmod(qt, optionflags=doctest.ELLIPSIS)
     assert attempted > 0 and failures == 0
+
+
+def test_import_loads_only_numpy_and_the_standard_library():
+    # every command's start-up pays for what the import loads, so a new
+    # dependency or an eager heavy import shows here first
+    code = (
+        "import sys; before = set(sys.modules); import qthresh; "
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "qthresh" in loaded
+    outside = {m for m in loaded if m not in sys.stdlib_module_names}
+    assert outside <= {"numpy", "qthresh"}

@@ -198,6 +198,15 @@ class TestSweepCommand:
         )
         assert len(lines) >= 12
 
+    @pytest.mark.parametrize("target", ["missing/sweep.csv", "."])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, target):
+        # a missing directory, then a directory: exit 2 as for bad input,
+        # not a traceback and the usage-error code 1
+        out = tmp_path / target
+        argv = ["sweep", "--n", "2", "--points", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
     def test_json_rows_use_csv_columns(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--n", "3", "--points", "5", "--out", str(out), "--json"]

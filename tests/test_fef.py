@@ -1,3 +1,6 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +14,7 @@ from qthresh.sampling import high_entropy_density, hs_random_density
 
 from oracles import (
     antisymmetric_werner,
+    ascend_masked,
     fef_bell_diagonal_exact,
     fef_bruteforce_n2,
     fef_objective,
@@ -81,6 +85,41 @@ class TestOptimizerConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValidationError, match="restarts must be >= 1"):
             qt.OptimizerConfig(restarts=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("restarts", 2.5), ("restarts", True), ("seed", 1.5), ("seed", False)],
+    )
+    def test_rejects_non_integers(self, field, value):
+        # 2.5 restarts used to fail later in range(), True ran as one
+        # restart printed as true, and a float seed failed in seed ^ r
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            qt.OptimizerConfig(**{field: value})
+
+    def test_numpy_seed_runs_restarts(self):
+        # np.int64 ^ r & (2**64 - 1) overflowed; the seed is stored as int
+        cfg = qt.OptimizerConfig(seed=np.int64(4))
+        assert type(cfg.seed) is int
+        rho = qt.werner(qt.WernerParams(3, 0.9))
+        bounds = qt.fef_certified(rho, cfg)
+        reference = qt.fef_certified(rho, qt.OptimizerConfig(seed=4))
+        assert bounds.restarts_used == 16
+        assert bounds.lower == reference.lower
+        assert np.array_equal(bounds.best_unitary, reference.best_unitary)
+
+    def test_numpy_restarts_serialize(self):
+        cfg = qt.OptimizerConfig(restarts=np.int64(2))
+        assert type(cfg.restarts) is int
+        spec = qt.SamplerSpec("hilbert_schmidt", 9, seed=7)
+        payload = json.loads(json.dumps(qt.verify_theorem(3, 2, spec, cfg).to_dict()))
+        assert payload["restarts"] == 2
+
+    def test_negative_seed_allowed(self):
+        # analyze --seed -3 exits 0; restart r starts from (seed ^ r) & mask
+        cfg = qt.OptimizerConfig(seed=-3)
+        assert cfg.seed == -3
+        rho = qt.werner(qt.WernerParams(3, 0.9))
+        assert qt.fef_certified(rho, cfg).restarts_used == 16
 
 
 class TestLowerBound:
@@ -416,6 +455,98 @@ class TestPowerStep:
             assert abs(
                 qt.fef_certified(rotated).lower - qt.fef_certified(rho).lower
             ) <= 1e-9
+
+
+def _case_args(kind, n, seed, count, max_iters, step_tol):
+    """``_ascend``'s arguments with the starts laid out as ``fef_certified``
+    lays them out: the spectral start of a seeded state, then ``count`` - 1
+    Haar restarts.  On a "bell" state, diagonal in a maximally entangled
+    basis, the spectral start is already the optimum and stops at
+    iteration 1."""
+    if kind == "hs":
+        rho = hs_random_density(n * n, seed=seed)
+    elif kind == "bell":
+        weights = np.random.default_rng(seed).dirichlet(np.ones(n * n))
+        rho = qt.bell_diagonal(n, weights)
+    else:
+        rho = high_entropy_density(n, {"mix5": 0.5, "mix9": 0.9}[kind], seed=seed)
+    values, vectors = np.linalg.eigh(rho.entries)
+    starts = np.stack(
+        [_spectral_start(vectors[:, -1], n)]
+        + [qt.haar_unitary(n, seed=seed + r) for r in range(1, count)]
+    )
+    return rho.entries, n, starts, max_iters, step_tol, float(values[0])
+
+
+def _assert_matches_masked(*args):
+    got, want = _ascend(*args), ascend_masked(*args)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# the spectral start stops at iteration 1, the restarts each later
+_STAGGERED = dict(kind="bell", n=3, seed=1, count=5, max_iters=500, step_tol=1e-10)
+# three iterations end the loop with every start still running
+_EXHAUSTED = dict(kind="hs", n=4, seed=2, count=5, max_iters=3, step_tol=1e-10)
+_SINGLE = dict(kind="mix9", n=3, seed=3, count=1, max_iters=500, step_tol=1e-10)
+
+
+class TestLiveBatch:
+    """The loop that carries only its running starts against the masked
+    loop it replaced (``oracles.ascend_masked``), bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+    def test_matches_masked_loop(self, n):
+        for case in itertools.product(
+            ("hs", "mix5", "mix9"), [n], [n], (1, 17), (0, 1, 7, 500), (1e-10, 0.0)
+        ):
+            _assert_matches_masked(*_case_args(*case))
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        kind=st.sampled_from(["hs", "mix5", "mix9", "bell"]),
+        n=st.integers(3, 5),
+        seed=st.integers(0, 1000),
+        count=st.integers(1, 6),
+        max_iters=st.integers(0, 60),
+        step_tol=st.sampled_from([1e-10, 0.0]),
+    )
+    @example(**_STAGGERED)
+    @example(**_EXHAUSTED)
+    @example(**_SINGLE)
+    def test_matches_masked_loop_property(
+        self, kind, n, seed, count, max_iters, step_tol
+    ):
+        args = _case_args(kind, n, seed, count, max_iters, step_tol)
+        _assert_matches_masked(*args)
+
+    def test_examples_are_the_hard_cases(self):
+        iterations = _ascend(*_case_args(**_STAGGERED))[2]
+        assert iterations[0] == 1 and len(set(iterations.tolist())) >= 3
+        _, _, iterations, last_delta = _ascend(*_case_args(**_EXHAUSTED))
+        assert (iterations == 3).all() and (last_delta >= 1e-10).all()
+
+    def test_nan_gain_stops_at_last_accepted_point(self, monkeypatch):
+        args = _case_args("hs", 3, 5, 4, 500, 1e-10)
+        entries, n, starts, _, step_tol, shift = args
+        after_two = _ascend(entries, n, starts, 2, step_tol, shift)
+        polar = fef._polar
+        calls = []
+
+        def nan_on_third_call(batch):
+            calls.append(len(batch))
+            out = polar(batch)
+            if len(calls) == 3:
+                out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(fef, "_polar", nan_on_third_call)
+        units, f, iterations, last_delta = _ascend(*args)
+        assert calls[2] == 4  # every start was still running at iteration 3
+        assert np.array_equal(units[0], after_two[0][0])
+        assert f[0] == after_two[1][0]
+        assert iterations[0] == 3 and np.isnan(last_delta[0])
+        assert (iterations[1:] > 3).all()
 
 
 class TestSpectralShift:
