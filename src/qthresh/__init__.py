@@ -95,4 +95,4 @@ from .states import (
     state_to_dict,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

@@ -116,9 +116,13 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_sweep(args) -> dict:
-    rows = sweep_werner(args.n, args.points)
+    # append mode: an unwritable path fails before any row, a rejected input
+    # leaves an old file intact, and a pipe or /dev/null is never truncated
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "a", encoding="utf-8") as fh:
+            rows = sweep_werner(args.n, args.points)
+            if fh.seekable() and fh.tell():
+                fh.truncate(0)
             fh.write(sweep_csv(rows))
     except OSError as exc:
         raise ValidationError(f"cannot write {args.out}: {exc}") from exc

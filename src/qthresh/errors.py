@@ -1,6 +1,8 @@
 """Exception types shared across the toolkit.  Every rejected input,
 shape, parameter or state file raises ``ValidationError``, whose message
-says what was wrong."""
+says what was wrong; so does each malformed scalar, such as a float or
+bool for an integer, or a seed that is not an integer >= 0, a
+SeedSequence or a Generator, caught by its one rule in ``states``."""
 
 
 class ToolkitError(Exception):

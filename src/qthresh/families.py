@@ -13,6 +13,7 @@ import numpy as np
 from .entropy import densecoding_threshold, shannon_bits
 from .errors import ValidationError
 from .states import DensityMatrix, _bell_diagonal_entries, _require_local_dim
+from .states import _require_unit_interval
 
 BISECTION_TOL = 1e-10
 
@@ -26,10 +27,7 @@ class WernerParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _require_local_dim(self.n))
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ValidationError(
-                f"epsilon must lie in [0, 1], got {self.epsilon}"
-            )
+        _require_unit_interval(self.epsilon, "epsilon")
 
 
 def werner(params: WernerParams) -> DensityMatrix:
@@ -71,7 +69,10 @@ def bell_diagonal(n: int, weights) -> DensityMatrix:
     """sum_k w_k |s_k><s_k| over the maximally entangled basis of
     ``states``, built in closed form by ``states._bell_diagonal_entries``."""
     n = _require_local_dim(n)
-    w = np.asarray(weights, dtype=float)
+    try:
+        w = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"weights are not a numeric array: {exc}") from exc
     d = n * n
     if w.shape != (d,):
         raise ValidationError(f"expected {d} weights, got shape {w.shape}")

@@ -47,10 +47,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NumericalInstability, ValidationError
+from .errors import NumericalInstability
 from .entropy import spectral_decomposition
-from .sampling import _is_int, haar_unitary
-from .states import DensityMatrix
+from .sampling import haar_unitary
+from .states import DensityMatrix, _require_int
 
 GAP_TOL = 1e-6
 MAX_ITERS = 500
@@ -74,15 +74,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValidationError(
-                    f"{name} must be an integer, got {type(value).__name__}"
-                )
-            object.__setattr__(self, name, int(value))
-        if self.restarts < 1:
-            raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
+        object.__setattr__(self, "restarts", _require_int(self.restarts, "restarts", 1))
+        object.__setattr__(self, "seed", _require_int(self.seed, "seed"))
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,9 @@ from .entropy import (
     hermitian_entropy_bits,
     von_neumann_entropy,
 )
-from .errors import ValidationError
 from .fef import VERDICT_MARGIN
-from .sampling import _is_int, check_seed
-from .states import DensityMatrix, bell_diagonal_coeffs, partial_trace
+from .states import DensityMatrix, _require_int, _require_seed
+from .states import bell_diagonal_coeffs, partial_trace
 
 # A Monte Carlo chunk holds _MC_CHUNK_ENTRIES // N^2 inputs: their full
 # N x N tables of Weyl overlaps would be this many complex entries (1 MiB),
@@ -184,15 +183,11 @@ def teleportation_avg_fidelity_mc(
     returns; an exception raised by the draws is re-raised here.
 
     ``n_samples`` must be a Python or numpy integer (not a bool) of at
-    least 100 and a negative integer seed raises ``ValidationError``,
-    both before the producer starts.
+    least 100 and ``seed`` an integer >= 0, a SeedSequence or a
+    Generator; both are checked before the producer starts.
     """
-    if not _is_int(n_samples):
-        raise ValidationError(f"n_samples must be an integer, got {n_samples!r}")
-    if n_samples < 100:
-        raise ValidationError(f"n_samples must be >= 100, got {n_samples}")
-    n_samples = int(n_samples)
-    check_seed(seed)
+    n_samples = _require_int(n_samples, "n_samples", 100)
+    seed = _require_seed(seed)
     n = rho_resource.n
     folded = _fold_weights(bell_diagonal_coeffs(rho_resource), n)
     rng = np.random.default_rng(seed)

@@ -29,8 +29,8 @@ from .fef import (
     usable_for_teleportation,
 )
 from .protocols import densecoding_chi_standard
-from .sampling import SamplerSpec, _is_int, sample
-from .states import DensityMatrix, _require_local_dim, state_to_dict
+from .sampling import SamplerSpec, sample
+from .states import DensityMatrix, _require_int, _require_local_dim, state_to_dict
 
 
 class EntropyVerdict(str, Enum):
@@ -83,13 +83,30 @@ class ThresholdReport:
         }
 
 
+def _check_theorem(rho, s, threshold, bounds, verdict, replay=None) -> None:
+    """Raise ``TheoremViolation`` if S exceeds ``threshold`` at all while
+    ``verdict`` certifies ``rho`` usable, with ``rho`` serialized and, for
+    a sample, the call ``replay`` = (spec, index, cfg) that redraws it."""
+    if s <= threshold or verdict is not TeleportVerdict.USABLE_CERTIFIED:
+        return
+    where = how = ""
+    if replay is not None:
+        spec, index, cfg = replay
+        where = f"sample {index}: "
+        how = f"replay: sample({spec!r}, {index}) under {cfg!r}; "
+    raise TheoremViolation(
+        f"{where}S = {s:.12f} > {threshold:.12f} with F_lower = "
+        f"{bounds.lower:.12f} > 1/{rho.n} + {VERDICT_MARGIN}; {how}"
+        f"offending state: {json.dumps(state_to_dict(rho))}"
+    )
+
+
 def analyze_rho(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> ThresholdReport:
     """Full report for an in-memory state.
 
     The entropy verdicts are decided by ``_entropy_verdict``.  Raises
-    ``TheoremViolation`` if S exceeds the teleportation threshold at all,
-    margin or not, while the state is certified usable, which no valid
-    state can be.
+    ``TheoremViolation`` through ``_check_theorem`` if S exceeds the
+    teleportation threshold while the state is certified usable.
     """
     cfg = cfg if cfg is not None else OptimizerConfig()
     n = rho.n
@@ -98,12 +115,7 @@ def analyze_rho(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Thres
     dc_t = densecoding_threshold(n)
     bounds = fef_certified(rho, cfg)
     teleport_verdict = usable_for_teleportation(bounds, n)
-    if s_vn > t_vn and teleport_verdict is TeleportVerdict.USABLE_CERTIFIED:
-        raise TheoremViolation(
-            f"S = {s_vn:.12f} bits exceeds threshold {t_vn:.12f} yet the "
-            f"certified F lower bound is {bounds.lower:.12f} > 1/{n}; "
-            f"offending state: {json.dumps(state_to_dict(rho))}"
-        )
+    _check_theorem(rho, s_vn, t_vn, bounds, teleport_verdict)
     return ThresholdReport(
         n=n,
         s_vn=s_vn,
@@ -160,10 +172,6 @@ class VerificationSummary:
         }
 
 
-def _replay(sampler: SamplerSpec, index: int, cfg: OptimizerConfig) -> str:
-    return f"replay: sample({sampler!r}, {index}) under {cfg!r}"
-
-
 def verify_theorem(
     n: int,
     samples: int,
@@ -182,11 +190,7 @@ def verify_theorem(
     with S above the threshold is that same violation.
     """
     n = _require_local_dim(n)
-    if not _is_int(samples):
-        raise ValidationError(f"samples must be an integer, got {samples!r}")
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
-    samples = int(samples)
+    samples = _require_int(samples, "samples", 1)
     sampler = (
         sampler
         if sampler is not None
@@ -203,18 +207,11 @@ def verify_theorem(
         rho = sample(sampler, index)
         s = von_neumann_entropy(rho)
         bounds = fef_certified(rho, cfg)
+        verdict = usable_for_teleportation(bounds, n)
+        _check_theorem(rho, s, threshold, bounds, verdict, (sampler, index, cfg))
         s_above = s > threshold
-        f_above = (
-            usable_for_teleportation(bounds, n) is TeleportVerdict.USABLE_CERTIFIED
-        )
+        f_above = verdict is TeleportVerdict.USABLE_CERTIFIED
         cells[(0 if s_above else 2) + (0 if f_above else 1)] += 1
-        if s_above and f_above:
-            raise TheoremViolation(
-                f"sample {index}: S = {s:.12f} > {threshold:.12f} with "
-                f"F_lower = {bounds.lower:.12f} > 1/{n} + {VERDICT_MARGIN}; "
-                f"{_replay(sampler, index, cfg)}; "
-                f"offending state: {json.dumps(state_to_dict(rho))}"
-            )
     return VerificationSummary(
         n=n,
         samples=samples,
@@ -285,10 +282,7 @@ def sweep_werner(n: int, grid_points: int) -> list[SweepRow]:
     rule ``analyze_rho`` prints, so the marker rows, which sit on their
     thresholds, read 0 rather than a side picked by rounding.
     """
-    if not _is_int(grid_points):
-        raise ValidationError(f"grid_points must be an integer, got {grid_points!r}")
-    if grid_points < 2:
-        raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
+    grid_points = _require_int(grid_points, "grid_points", 2)
     crit = critical_epsilons(n)
     eps_values = list(np.linspace(0.0, 1.0, grid_points)) + [
         crit.eps_entropy_at_teleport_threshold,

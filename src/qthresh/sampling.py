@@ -1,8 +1,8 @@
 """Seeded random generation of unitaries and bipartite density matrices.
 
-Every direct sampler takes an explicit ``seed`` (anything accepted by
-``numpy.random.default_rng``: an integer, a SeedSequence, or a
-Generator), and the output is fully determined by its arguments.
+Every direct sampler takes an explicit ``seed``, an integer >= 0, a
+SeedSequence or a Generator (anything else, None included, raises
+``ValidationError``), and the output is fully determined by its arguments.
 ``sample(spec, index)`` derives an independent stream per index from the
 spec's integer seed, so batch generation is order- and
 partition-independent.  Two kinds are sampled: full-rank
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .states import DensityMatrix
+from .states import DensityMatrix, _require_int, _require_local_dim, _require_seed
+from .states import _require_square_dim, _require_unit_interval
 
 KINDS = ("hilbert_schmidt", "high_entropy")
 
@@ -43,42 +44,12 @@ class SamplerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown sampler kind {self.kind!r}")
-        if (
-            not _is_int(self.dim)
-            or self.dim < 4
-            or math.isqrt(self.dim) ** 2 != self.dim
-        ):
-            raise ValidationError(
-                f"dim must be a perfect square N^2 with N >= 2, got {self.dim!r}"
-            )
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _require_square_dim(self.dim) ** 2)
         if self.kind == "high_entropy" and self.mix_toward_identity is None:
             raise ValidationError("high_entropy sampling requires mix_toward_identity")
-        if self.mix_toward_identity is not None and not (
-            0.0 <= self.mix_toward_identity <= 1.0
-        ):
-            raise ValidationError(
-                f"mix_toward_identity must lie in [0, 1], got {self.mix_toward_identity}"
-            )
-        if not _is_int(self.seed):
-            raise ValidationError(
-                f"SamplerSpec seed must be an integer, got {type(self.seed).__name__}"
-            )
-        check_seed(self.seed)
-        object.__setattr__(self, "seed", int(self.seed))
-
-
-def _is_int(value) -> bool:
-    """A Python or numpy integer that is not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def check_seed(seed) -> None:
-    """Reject a negative integer seed, which ``numpy.random.default_rng``
-    would refuse with a bare ``ValueError``; SeedSequence and Generator
-    seeds pass through."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+        if self.mix_toward_identity is not None:
+            _require_unit_interval(self.mix_toward_identity, "mix_toward_identity")
+        object.__setattr__(self, "seed", _require_int(self.seed, "seed", 0))
 
 
 def _ginibre(rng, n: int) -> np.ndarray:
@@ -92,9 +63,8 @@ def haar_unitary(n: int, seed=0) -> np.ndarray:
     phase-fixed positive, which makes the Q factor Haar rather than
     merely unitary.
     """
-    if n < 1:
-        raise ValidationError(f"unitary dimension must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
+    n = _require_int(n, "unitary dimension", 1)
+    rng = np.random.default_rng(_require_seed(seed))
     q, r = np.linalg.qr(_ginibre(rng, n))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
@@ -102,7 +72,7 @@ def haar_unitary(n: int, seed=0) -> np.ndarray:
 
 def _hs_matrix(dim: int, seed) -> np.ndarray:
     """G G^dagger / Tr(G G^dagger) for a dim x dim complex Ginibre G."""
-    g = _ginibre(np.random.default_rng(seed), dim)
+    g = _ginibre(np.random.default_rng(_require_seed(seed)), dim)
     m = g @ g.conj().T
     m /= np.trace(m).real
     return m
@@ -115,12 +85,8 @@ def hs_random_density(dim: int, seed=0) -> DensityMatrix:
     ``dim`` must be a perfect square N^2 so the result is a valid
     bipartite state.
     """
-    n = math.isqrt(dim)
-    if n * n != dim:
-        raise ValidationError(
-            f"dim must be a perfect square (bipartite N^2), got {dim}"
-        )
-    return DensityMatrix(n, _hs_matrix(dim, seed))
+    n = _require_square_dim(dim)
+    return DensityMatrix(n, _hs_matrix(n * n, seed))
 
 
 def high_entropy_density(n: int, mix: float, seed=0) -> DensityMatrix:
@@ -131,8 +97,8 @@ def high_entropy_density(n: int, mix: float, seed=0) -> DensityMatrix:
     is checked; the base is symmetrized first, as G G^dagger is not exactly
     Hermitian in floating point.
     """
-    if not (0.0 <= mix <= 1.0):
-        raise ValidationError(f"mix must lie in [0, 1], got {mix}")
+    n = _require_local_dim(n)
+    _require_unit_interval(mix, "mix")
     d = n * n
     base = _hs_matrix(d, seed)
     base = (base + base.conj().T) / 2.0
@@ -145,6 +111,7 @@ def sample(spec: SamplerSpec, index: int = 0) -> DensityMatrix:
     Each index gets its own child stream of ``spec.seed``, so draws are
     independent and the result does not depend on how a batch is split.
     """
+    index = _require_int(index, "index", 0)
     seed = np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,))
     if spec.kind == "hilbert_schmidt":
         return hs_random_density(spec.dim, seed)

@@ -1,10 +1,12 @@
 """Linear-algebra substrate for bipartite N x N states.
 
-Density matrices that check themselves on construction (every
-rejection is a ``ValidationError``) and keep their spectrum,
-the partial trace over the first factor, the state file format, and the
-two closed-form transforms between a state and its weights in
-the maximally entangled basis |s_ab> = (X^a Z^b (x) I)|Phi> (X the cyclic
+The package's scalar input rules, each written once: an integer with
+an optional minimum, a seed, a real number in [0, 1], a local dimension
+and a perfect-square total dimension.  Density matrices that check
+themselves on construction and keep their spectrum, the partial trace
+over the first factor, the state file format, and the two closed-form
+transforms between a state and its weights in the maximally entangled
+basis |s_ab> = (X^a Z^b (x) I)|Phi> (X the cyclic
 shift, Z the clock phase, |Phi> = N^(-1/2) sum_j |jj>).  That basis is
 never built: its convention lives in ``_weyl_layout`` alone.  All
 matrices are dense complex128 with the first tensor factor on the slow
@@ -24,12 +26,41 @@ from .errors import NumericalInstability, ValidationError
 DEFAULT_TOL = 1e-9
 
 
+def _require_int(value, name: str, minimum: int | None = None) -> int:
+    """Check a Python or numpy integer, not a bool, of at least ``minimum``;
+    return it as a Python ``int``, which a JSON payload can hold."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _require_seed(seed):
+    """Check a seed for ``numpy.random.default_rng``: an integer >= 0,
+    returned as a Python ``int``, or a SeedSequence or Generator."""
+    if isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+        return seed
+    return _require_int(seed, "seed", 0)
+
+
+def _require_unit_interval(value, name: str) -> None:
+    """Check a real number, not a bool, in [0, 1], so not NaN."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if not real or isinstance(value, bool) or not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
+
+
 def _require_local_dim(n) -> int:
-    """Check a local dimension and return it as a Python ``int``, so
-    numpy integers are accepted and never reach a JSON payload."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-        raise ValidationError(f"local dimension must be an integer >= 2, got {n!r}")
-    return int(n)
+    return _require_int(n, "local dimension", 2)
+
+
+def _require_square_dim(dim) -> int:
+    """Check a total dimension N^2 with N >= 2 and return N."""
+    dim = _require_int(dim, "dim")
+    if dim < 4 or math.isqrt(dim) ** 2 != dim:
+        raise ValidationError(f"dim must be a perfect square N^2 with N >= 2, got {dim}")
+    return math.isqrt(dim)
 
 
 @dataclass(frozen=True)
@@ -151,9 +182,6 @@ def state_to_dict(rho: DensityMatrix) -> dict:
 def state_from_dict(payload) -> DensityMatrix:
     if not isinstance(payload, dict) or "n" not in payload or "matrix" not in payload:
         raise ValidationError("state payload must be an object with 'n' and 'matrix' keys")
-    n = payload["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValidationError(f"'n' must be an integer, got {n!r}")
     try:
         arr = np.asarray(payload["matrix"], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -162,7 +190,7 @@ def state_from_dict(payload) -> DensityMatrix:
         raise ValidationError("'matrix' entries must be two-element [re, im] arrays")
     if not np.isfinite(arr).all():
         raise ValidationError("'matrix' contains NaN or Inf")
-    return DensityMatrix(n, arr[..., 0] + 1j * arr[..., 1])
+    return DensityMatrix(payload["n"], arr[..., 0] + 1j * arr[..., 1])
 
 
 def load_state(path) -> DensityMatrix:

@@ -9,7 +9,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 import qthresh as qt
 from qthresh.sampling import hs_random_density

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -206,6 +209,40 @@ class TestSweepCommand:
         argv = ["sweep", "--n", "2", "--points", "3", "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    def test_unwritable_out_fails_before_any_row(self, tmp_path, monkeypatch, capsys):
+        def never(n, grid_points):
+            raise AssertionError("rows computed for an unwritable --out")
+
+        monkeypatch.setattr("qthresh.cli.sweep_werner", never)
+        out = tmp_path / "missing" / "sweep.csv"
+        argv = ["sweep", "--n", "8", "--points", "200000", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    def test_rejected_points_leave_existing_out_unchanged(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        out.write_bytes(b"earlier,rows\n1,2\n")
+        assert main(["sweep", "--n", "2", "--points", "1", "--out", str(out)]) == 2
+        assert "grid_points must be >= 2" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier,rows\n1,2\n"
+
+    def test_rewrites_an_existing_out(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        out.write_text("x" * 10000)
+        assert main(["sweep", "--n", "2", "--points", "3", "--out", str(out)]) == 0
+        assert out.read_text() == qt.sweep_csv(qt.sweep_werner(2, 3))
+
+    def test_writes_to_devices_that_cannot_be_truncated(self, capsys):
+        # neither /dev/null nor a pipe can be truncated; both took the CSV
+        # when --out was opened with "w"
+        assert main(["sweep", "--n", "2", "--points", "3", "--out", os.devnull]) == 0
+        cmd = [
+            sys.executable, "-m", "qthresh.cli", "sweep", "--n", "2",
+            "--points", "3", "--out", "/dev/stdout",
+        ]
+        piped = subprocess.run(cmd, capture_output=True, text=True, check=True)
+        assert piped.stdout.startswith(qt.sweep_csv(qt.sweep_werner(2, 3)))
 
     def test_json_rows_use_csv_columns(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

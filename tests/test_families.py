@@ -135,6 +135,11 @@ class TestBellDiagonalConstructor:
         with pytest.raises(ValidationError, match="expected 4 weights"):
             qt.bell_diagonal(2, [0.5, 0.5])
 
+    def test_rejects_non_numeric_weights(self):
+        # np.asarray(..., dtype=float) raised a bare ValueError
+        with pytest.raises(ValidationError, match="weights are not a numeric array"):
+            qt.bell_diagonal(2, ["a"] * 4)
+
 
 class TestExtremalState:
     def test_weights_n2(self):

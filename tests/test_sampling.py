@@ -171,7 +171,7 @@ class TestSamplerSpec:
         "dim", [4.0, True, np.float64(9.0)], ids=["float", "bool", "np_float64"]
     )
     def test_rejects_non_integer_dim(self, dim):
-        with pytest.raises(ValidationError, match="perfect square"):
+        with pytest.raises(ValidationError, match="dim must be an integer"):
             qt.SamplerSpec(kind="hilbert_schmidt", dim=dim)
 
     def test_numpy_integer_dim_stored_as_int(self):

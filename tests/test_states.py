@@ -301,7 +301,7 @@ class TestStateFileFormat:
     def test_rejects_non_integer_n(self):
         payload = qt.state_to_dict(maximally_mixed(2))
         payload["n"] = 2.0
-        with pytest.raises(ValidationError, match="'n' must be an integer"):
+        with pytest.raises(ValidationError, match="local dimension must be an integer"):
             state_from_dict(payload)
 
     def test_rejects_flat_entries(self):
